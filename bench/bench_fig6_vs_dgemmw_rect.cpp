@@ -24,6 +24,7 @@ int main() {
   const double alpha = 0.7, beta = 0.3;
 
   core::DgefmmConfig cfg;  // paper-default hybrid criterion (199,75,125,95)
+  cfg.cutoff = core::CutoffCriterion::paper_default(blas::Machine::rs6000);
   bench::report_schedule(cfg, beta);
   std::cout << "\n";
 

@@ -39,8 +39,11 @@ int main(int argc, char** argv) {
       3);
 
   // DGEFMM: same interface -- only the routine name changes. A persistent
-  // workspace arena makes repeated calls allocation-free.
+  // workspace arena makes repeated calls allocation-free. The paper's
+  // RS/6000 cutoffs force Strassen; the default configuration would take
+  // the host's tuned route (one DGEMM until a policy is installed).
   core::DgefmmConfig cfg;
+  cfg.cutoff = core::CutoffCriterion::paper_default(blas::Machine::rs6000);
   core::DgefmmStats stats;
   cfg.stats = &stats;
   Arena arena;

@@ -144,9 +144,8 @@ int strassen_dgefmm(char transa, char transb, std::int64_t m, std::int64_t n,
   Trans ta, tb;
   if (!parse_trans(transa, ta)) return 1;
   if (!parse_trans(transb, tb)) return 2;
-  return run<double>(
-      ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-      core::CutoffCriterion::paper_default(blas::active_machine()));
+  return run<double>(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
+                     core::CutoffCriterion::tuned());
 }
 
 int strassen_dgefmm_tuned(char transa, char transb, std::int64_t m,
@@ -197,9 +196,8 @@ int strassen_sgefmm(char transa, char transb, std::int64_t m, std::int64_t n,
   Trans ta, tb;
   if (!parse_trans(transa, ta)) return 1;
   if (!parse_trans(transb, tb)) return 2;
-  return run<float>(
-      ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-      core::CutoffCriterion::paper_default(blas::active_machine()));
+  return run<float>(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
+                    core::CutoffCriterion::tuned());
 }
 
 int strassen_sgefmm_tuned(char transa, char transb, std::int64_t m,

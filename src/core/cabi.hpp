@@ -11,9 +11,14 @@
 //    character dummies as char*, 32-bit INTEGERs), with XERBLA-style
 //    behaviour expressed through the info return.
 //
-// Both use the library defaults (paper cutoff parameters on the active
-// machine profile, dynamic peeling, automatic schedule) and a reusable
-// thread_local workspace arena, so concurrent callers never share state.
+// Both take the library's tuned route (core/tuned_policy.hpp): the policy
+// installed for the active kernel and the calling thread's GEMM thread
+// budget picks the schedule and cutoffs, and without one the call is a
+// single pooled DGEMM. A program gets Strassen by installing a measured
+// policy (tuning::install_criteria, e.g. from an autotune_cli file) or by
+// naming the eq.-15 parameters through strassen_dgefmm_tuned. Both use a
+// reusable thread_local workspace arena, so concurrent callers never
+// share state.
 //
 // Failure contract (DESIGN.md section 7): no exception ever crosses these
 // extern "C" boundaries. By default the bindings run with the `fallback`

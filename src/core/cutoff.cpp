@@ -52,6 +52,7 @@ bool CutoffCriterion::stop(index_t m, index_t k, index_t n, int d) const {
     case CutoffKind::fixed_depth:
       return d >= depth;
     case CutoffKind::never_recurse:
+    case CutoffKind::tuned:
       return true;
   }
   return true;
@@ -111,6 +112,12 @@ CutoffCriterion CutoffCriterion::never_recurse() {
   return c;
 }
 
+CutoffCriterion CutoffCriterion::tuned() {
+  CutoffCriterion c;
+  c.kind = CutoffKind::tuned;
+  return c;
+}
+
 CutoffCriterion CutoffCriterion::paper_default(blas::Machine machine) {
   switch (machine) {
     case blas::Machine::rs6000:
@@ -148,6 +155,9 @@ std::string CutoffCriterion::describe() const {
       break;
     case CutoffKind::never_recurse:
       ss << "never recurse (DGEMM)";
+      break;
+    case CutoffKind::tuned:
+      ss << "tuned (installed policy, else DGEMM)";
       break;
   }
   return ss.str();

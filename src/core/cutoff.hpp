@@ -31,6 +31,11 @@ enum class CutoffKind {
   hybrid,         ///< eq. (15), the paper's criterion
   fixed_depth,    ///< recurse exactly `depth` levels (analysis/testing)
   never_recurse,  ///< always call DGEMM (baseline)
+  tuned,          ///< the library default: the installed tuned policy
+                  ///< picks schedule and cutoffs per call shape
+                  ///< (core/tuned_policy.hpp resolve_tuned); without a
+                  ///< policy for the active kernel and thread budget the
+                  ///< call is one pooled GEMM. Never recurses on its own.
 };
 
 /// A fully-specified stopping rule.
@@ -57,11 +62,12 @@ struct CutoffCriterion {
                                 double tau_n);
   static CutoffCriterion fixed_depth(int depth);
   static CutoffCriterion never_recurse();
+  static CutoffCriterion tuned();
 
   /// The paper's measured parameters for a machine profile (Tables 2-3):
   /// RS/6000: tau=199, (75,125,95); C90: tau=129, (80,45,20);
-  /// T3D: tau=325, (125,75,109). These are the library defaults until the
-  /// tuner replaces them with values measured on the actual host.
+  /// T3D: tau=325, (125,75,109). The paper-reproduction benches name
+  /// these explicitly; the library default is tuned().
   static CutoffCriterion paper_default(blas::Machine machine);
 
   std::string describe() const;

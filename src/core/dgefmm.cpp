@@ -50,10 +50,6 @@ count_t workspace_elements(index_t m, index_t n, index_t k, T beta,
   }
 }
 
-template <class T>
-void gefmm_view_t(T alpha, BasicView<const T> a, BasicView<const T> b, T beta,
-                  BasicView<T> c, const GefmmConfigT<T>& cfg);
-
 // Consults the caller's prepacked operand handles (cfg.packed_a/packed_b)
 // for a call that reduces to one top-level packed GEMM. True when the
 // streamed nest ran (bitwise identical to the plain path); false on any
@@ -80,29 +76,6 @@ bool try_prepacked_gemm(T alpha, BasicView<const T> a, BasicView<const T> b,
   return false;
 }
 
-// Tuned-policy routing, kept out of the driver proper: when the measured
-// crossover says plain GEMM wins, it dispatches here and returns true; for
-// any Strassen path it rewrites cfg (via core::resolve_tuned, the same
-// resolution the workspace predictors apply) and returns false so the
-// driver runs the resolved configuration through its normal acquisition
-// contract. The GEMM route writes C through the library's baseline packed
-// path, which needs no arena workspace.
-template <class T>
-bool tuned_route(T alpha, BasicView<const T> a, BasicView<const T> b, T beta,
-                 BasicView<T> c, GefmmConfigT<T>& cfg) {
-  const TunedPath path =
-      resolve_tuned<T>(c.rows, a.cols, c.cols, beta, /*workers=*/1, cfg);
-  if (cfg.stats != nullptr) cfg.stats->tuned_path = tuned_path_name(path);
-  if (path != TunedPath::gemm) return false;
-  if (cfg.stats != nullptr) {
-    cfg.stats->kernel = blas::active_kernel_t<T>().name;
-    ++cfg.stats->base_gemms;
-  }
-  if (try_prepacked_gemm<T>(alpha, a, b, beta, c, cfg)) return true;
-  blas::gemm_view(alpha, a, b, beta, c);
-  return true;
-}
-
 // The shared driver template behind dgefmm_view and sgefmm_view: pre-flight
 // acquisition (arena + pack scratch) under the failure contract, then the
 // no-fail dispatch into the schedule interpreters. The two public
@@ -111,9 +84,14 @@ bool tuned_route(T alpha, BasicView<const T> a, BasicView<const T> b, T beta,
 template <class T>
 void gefmm_view_t(T alpha, BasicView<const T> a, BasicView<const T> b, T beta,
                   BasicView<T> c, const GefmmConfigT<T>& cfg) {
-  if (cfg.use_tuned) {
+  if (routes_tuned(cfg)) {
+    // The tuned route resolves to an ordinary explicit configuration (one
+    // GEMM is CutoffCriterion::never_recurse()) that re-enters below
+    // through the same acquisition contract as every other call.
     GefmmConfigT<T> eff = cfg;
-    if (tuned_route<T>(alpha, a, b, beta, c, eff)) return;
+    const TunedPath path =
+        resolve_tuned<T>(c.rows, a.cols, c.cols, beta, eff);
+    if (cfg.stats != nullptr) cfg.stats->tuned_path = tuned_path_name(path);
     gefmm_view_t<T>(alpha, a, b, beta, c, eff);
     return;
   }
@@ -141,8 +119,7 @@ void gefmm_view_t(T alpha, BasicView<const T> a, BasicView<const T> b, T beta,
   // (sub-products are never larger), so warming below is a superset of
   // what the compute phase can touch.
   const blas::GemmBlocking bk = blas::blocking_for_t<T>(blas::active_machine());
-  const int gemm_threads =
-      blas::packed_gemm_threads(bk, c.rows, c.cols, a.cols);
+  const int gemm_threads = blas::packed_gemm_threads(c.rows, c.cols, a.cols);
   if (cfg.stats != nullptr) {
     cfg.stats->kernel = blas::active_kernel_t<T>().name;
     if (gemm_threads > cfg.stats->gemm_threads) {

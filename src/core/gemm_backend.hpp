@@ -9,6 +9,7 @@
 #include <functional>
 
 #include "blas/kernels.hpp"
+#include "core/cutoff.hpp"
 #include "support/config.hpp"
 
 namespace strassen::core {
@@ -22,14 +23,16 @@ using GemmFn = std::function<void(
 /// Backend calling the library's DGEMM (the baseline configuration).
 GemmFn gemm_backend_dgemm();
 
-/// Backend calling DGEFMM with the default configuration and a persistent
-/// shared workspace arena (repeated calls are allocation-free).
+/// Backend calling DGEFMM with the default configuration -- the tuned
+/// route: the installed policy for the active kernel and thread budget,
+/// else one pooled GEMM per call -- and a persistent shared workspace
+/// arena (repeated calls are allocation-free).
 GemmFn gemm_backend_dgefmm();
 
-/// Backend calling DGEFMM with the packing-fused schedule (Scheme::fused):
-/// operand sums are formed in the GEMM pack buffers, so the shared arena is
-/// only touched when a leaf falls back to the classic recursion.
-GemmFn gemm_backend_dgefmm_fused();
+/// Backend calling DGEFMM with an explicit cutoff criterion, e.g.
+/// CutoffCriterion::paper_default(blas::Machine::rs6000) for the paper's
+/// Table 6 configuration.
+GemmFn gemm_backend_dgefmm(const CutoffCriterion& cutoff);
 
 /// Backend calling the library's DGEMM with the given micro-kernel variant
 /// pinned for the duration of each call (blas::ScopedKernel). Lets a solver

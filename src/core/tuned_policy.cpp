@@ -81,7 +81,7 @@ TunedPath tuned_path_for(const TunedPolicy& policy, index_t m, index_t k,
   // operation count, so one threshold covers rectangular shapes.
   const double s = std::cbrt(static_cast<double>(m) * static_cast<double>(k) *
                              static_cast<double>(n));
-  if (policy.tau_fused > 0 && s <= policy.tau_fused) return TunedPath::gemm;
+  if (policy.tau_fused <= 0 || s <= policy.tau_fused) return TunedPath::gemm;
   if (workers > 1 && policy.tau_dag > 0 && s > policy.tau_dag) {
     return TunedPath::dag;
   }

@@ -12,10 +12,10 @@
 // Layering: core cannot depend on tuning/ (which owns measurement and file
 // persistence) or parallel/ (which owns the DAG). So the policy lives here
 // as a passive registry: tuning/autotune.cpp measures and installs, the
-// drivers consult. A policy is stamped with the micro-kernel name it was
-// measured under and is a hard miss when the stamp no longer matches the
-// active dispatch -- crossovers are properties of the GEMM speed, and a
-// stale τ silently mis-routing is exactly the bug this PR fixes.
+// drivers consult. A policy is stamped with the micro-kernel name and the
+// thread budget it was measured under, and applies only under both:
+// crossovers are properties of the GEMM speed, which changes with either.
+// A miss routes to one pooled GEMM, never to a guessed recursion.
 //
 // Concurrency: install publishes a fully-written slot with a release store
 // and consult reads with an acquire load, so readers always see a complete
@@ -31,8 +31,8 @@ namespace strassen::core {
 
 /// The schedule the tuned policy selects for one call shape.
 enum class TunedPath {
-  classic,    ///< no valid policy: the untuned default dispatch
-  gemm,       ///< below the fused crossover: plain packed GEMM
+  gemm,       ///< below the fused crossover, or no policy for this kernel
+              ///< and budget: one plain packed GEMM
   fused_l1,   ///< one fused Strassen level over packed GEMM
   fused_l2,   ///< two fused levels
   hybrid,     ///< classic eq.-15 hybrid recursion (depth scales with size)
@@ -46,8 +46,6 @@ enum class TunedPath {
 /// Static-storage name for stats and bench JSON.
 constexpr const char* tuned_path_name(TunedPath p) {
   switch (p) {
-    case TunedPath::classic:
-      return "classic";
     case TunedPath::gemm:
       return "gemm";
     case TunedPath::fused_l1:
@@ -65,9 +63,10 @@ constexpr const char* tuned_path_name(TunedPath p) {
 }
 
 /// One element type's measured dispatch policy. The scheme thresholds are
-/// equivalent orders s = cbrt(m*k*n); 0 disables a threshold (tau_fused = 0
-/// means "fused from the first size", tau_fused2/tau_hybrid/tau_dag = 0 mean
-/// "that schedule never won in the sweep").
+/// equivalent orders s = cbrt(m*k*n); 0 means "that schedule never won in
+/// the sweep" for every threshold, so tau_fused = 0 routes GEMM at every
+/// size (a sweep GEMM won everywhere says nothing in Strassen's favour
+/// beyond its range).
 struct TunedPolicy {
   /// Eq.-15 hybrid cutoffs per beta case (Section 4.2's two sets), applied
   /// below the fused levels and inside DAG leaves.
@@ -75,6 +74,7 @@ struct TunedPolicy {
   CutoffCriterion general = beta_zero;
 
   double tau_fused = 0;   ///< at or below: plain GEMM beats fused
+                          ///< (0: fused never won, GEMM everywhere)
   double tau_fused2 = 0;  ///< above: two fused levels beat one
   double tau_hybrid = 0;  ///< above: classic hybrid recursion beats fused.
                           ///< The fused schedules cap at two levels; the
@@ -87,7 +87,9 @@ struct TunedPolicy {
                           ///< files from before this threshold existed load
                           ///< as 0 and keep the old hybrid routing.
   double tau_dag = 0;     ///< above: the task-DAG beats the serial schedule
-  int threads = 0;        ///< pool size tau_dag was measured with
+  int threads = 0;        ///< thread budget every schedule was timed with
+                          ///< (blas::gemm_thread_budget); a consult under
+                          ///< any other budget is a miss
 
   /// Micro-kernel stamp (blas::KernelInfo::name) the sweep ran under. A
   /// consult under any other active kernel is a hard miss.
@@ -109,39 +111,55 @@ void clear_tuned_policy();
 /// The installed policy for T, or nullptr when none was installed or the
 /// installed one is stamped with a kernel other than the active dispatch
 /// (the hard miss). The pointer stays valid until the next install of the
-/// same element type.
+/// same element type. The thread-budget check is resolve_tuned's.
 template <class T>
 const TunedPolicy* tuned_policy();
 
 /// The schedule the policy picks for an (m, k, n) call with `workers`
-/// scheduler lanes available (pass 1 from the serial driver: the DAG path
-/// needs a pool to win).
+/// scheduler lanes available (1 from the serial driver: the DAG path needs
+/// a pool to win).
 TunedPath tuned_path_for(const TunedPolicy& policy, index_t m, index_t k,
                          index_t n, int workers);
 
 }  // namespace strassen::core
 
+#include "blas/packed_loop.hpp"
 #include "core/types.hpp"
 
 namespace strassen::core {
 
-/// Resolves use_tuned in place: consults the policy for T, rewrites
-/// cutoff/scheme/fused_levels for the selected path, and always clears
-/// cfg.use_tuned so the resolved configuration re-enters the driver as an
-/// ordinary explicit one. Returns the selected path (classic when no valid
-/// policy is installed; the caller owns routing gemm/dag, which need no
-/// recursion config at all). The driver and the workspace predictors both
-/// resolve through this single definition, so the predicted arena size is
-/// always the size of the schedule that actually runs.
+/// True when `cfg` asks for the tuned route: use_tuned, or the default
+/// CutoffKind::tuned criterion.
 template <class T>
-TunedPath resolve_tuned(index_t m, index_t k, index_t n, T beta, int workers,
-                        GefmmConfigT<T>& cfg) {
+bool routes_tuned(const GefmmConfigT<T>& cfg) {
+  return cfg.use_tuned || cfg.cutoff.kind == CutoffKind::tuned;
+}
+
+/// The one route of every tuned entry: the C ABI, gemm_backend_dgefmm, the
+/// default configuration, use_tuned, the parallel driver and the workspace
+/// predictors. Consults the policy for T under thread budget `budget` and
+/// rewrites cfg in place for the selected path -- cutoff and scheme for a
+/// Strassen path, CutoffCriterion::never_recurse() for GEMM -- clearing
+/// use_tuned so the result re-enters a driver as an ordinary explicit
+/// configuration. A missing, kernel-stale or other-budget policy selects
+/// one GEMM. The DAG is a candidate only when `dag` (the parallel driver);
+/// the serial driver gets the best serial schedule instead. Drivers and
+/// predictors resolve through this single definition, so the predicted
+/// arena size is always the size of the schedule that actually runs.
+template <class T>
+TunedPath resolve_tuned(index_t m, index_t k, index_t n, T beta, int budget,
+                        bool dag, GefmmConfigT<T>& cfg) {
   cfg.use_tuned = false;
   const TunedPolicy* policy = tuned_policy<T>();
-  if (policy == nullptr) return TunedPath::classic;
-  const TunedPath path = tuned_path_for(*policy, m, k, n, workers);
-  cfg.cutoff = policy->select(static_cast<double>(beta));
-  if (path == TunedPath::fused_l1) {
+  if (policy == nullptr || policy->threads != budget) {
+    cfg.cutoff = CutoffCriterion::never_recurse();
+    return TunedPath::gemm;
+  }
+  const TunedPath path = tuned_path_for(*policy, m, k, n, dag ? budget : 1);
+  cfg.cutoff = path == TunedPath::gemm
+                   ? CutoffCriterion::never_recurse()
+                   : policy->select(static_cast<double>(beta));
+  if (path == TunedPath::fused_l1 || path == TunedPath::dag) {
     cfg.scheme = Scheme::fused;
     cfg.fused_levels = 1;
   } else if (path == TunedPath::fused_l2) {
@@ -153,6 +171,19 @@ TunedPath resolve_tuned(index_t m, index_t k, index_t n, T beta, int workers,
     cfg.scheme = Scheme::strassen2;
   }
   return path;
+}
+
+/// resolve_tuned for the serial driver and its predictors: the budget is
+/// the calling thread's resolved intra-GEMM budget, and the DAG is not a
+/// candidate (it runs only through parallel::dgefmm_parallel). Resolves
+/// the budget only when a policy is installed, so policy-less calls never
+/// construct the pool.
+template <class T>
+TunedPath resolve_tuned(index_t m, index_t k, index_t n, T beta,
+                        GefmmConfigT<T>& cfg) {
+  const int budget =
+      tuned_policy<T>() != nullptr ? blas::gemm_thread_budget() : 0;
+  return resolve_tuned<T>(m, k, n, beta, budget, /*dag=*/false, cfg);
 }
 
 }  // namespace strassen::core

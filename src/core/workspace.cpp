@@ -129,13 +129,12 @@ count_t workspace_doubles_at(index_t m, index_t n, index_t k, double beta,
 
 count_t workspace_doubles(index_t m, index_t n, index_t k, double beta,
                           const DgefmmConfig& cfg) {
-  if (cfg.use_tuned) {
+  if (routes_tuned(cfg)) {
     // The same resolution the driver applies, so the predicted peak is the
     // peak of the schedule that actually runs. The GEMM route draws no
     // arena workspace at all.
     DgefmmConfig eff = cfg;
-    if (resolve_tuned<double>(m, k, n, beta, /*workers=*/1, eff) ==
-        TunedPath::gemm) {
+    if (resolve_tuned<double>(m, k, n, beta, eff) == TunedPath::gemm) {
       return 0;
     }
     return workspace_doubles(m, n, k, beta, eff);
@@ -167,13 +166,13 @@ count_t workspace_doubles(index_t m, index_t n, index_t k, double beta,
 
 count_t workspace_floats(index_t m, index_t n, index_t k, float beta,
                          const SgefmmConfig& cfg) {
-  if (cfg.use_tuned) {
+  if (routes_tuned(cfg)) {
     // Resolve against the *float* policy before dropping to the shared
     // double-counted recursion: each element type consults its own
-    // crossovers (sizing_config does not forward use_tuned).
+    // crossovers, and the resolved cutoff is explicit, so sizing_config's
+    // double recursion never routes again.
     SgefmmConfig eff = cfg;
-    if (resolve_tuned<float>(m, k, n, beta, /*workers=*/1, eff) ==
-        TunedPath::gemm) {
+    if (resolve_tuned<float>(m, k, n, beta, eff) == TunedPath::gemm) {
       return 0;
     }
     return workspace_floats(m, n, k, beta, eff);

@@ -30,12 +30,11 @@ namespace strassen::eigen {
 /// core/gemm_backend.hpp; re-exported here for convenience).
 using core::GemmFn;
 
-/// GemmFn backed by the library's DGEMM (the baseline configuration).
-inline GemmFn gemm_backend_dgemm() { return core::gemm_backend_dgemm(); }
-
-/// GemmFn backed by DGEFMM -- the paper's "rename DGEMM to DGEFMM"
-/// experiment.
-inline GemmFn gemm_backend_dgefmm() { return core::gemm_backend_dgefmm(); }
+/// GemmFn backends: the library's DGEMM (the baseline configuration) and
+/// DGEFMM -- the paper's "rename DGEMM to DGEFMM" experiment, which names
+/// CutoffCriterion::paper_default(blas::Machine::rs6000) to reproduce it.
+using core::gemm_backend_dgefmm;
+using core::gemm_backend_dgemm;
 
 struct IsdaOptions {
   index_t base_size = 24;      ///< subproblems at or below go to Jacobi

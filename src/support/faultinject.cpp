@@ -12,6 +12,7 @@ namespace {
 // observes the transition through 1.
 std::atomic<bool> g_active{false};
 std::atomic<long> g_countdown{0};
+std::atomic<long> g_armed_with{0};
 std::atomic<int> g_site{static_cast<int>(Site::any)};
 std::atomic<long> g_injected{0};
 
@@ -46,6 +47,7 @@ void arm(long countdown, Site site) {
   g_site.store(static_cast<int>(site),
                std::memory_order_relaxed);  // relaxed: injector
   g_countdown.store(countdown, std::memory_order_relaxed);  // relaxed: injector
+  g_armed_with.store(countdown, std::memory_order_relaxed);  // relaxed: injector
   g_active.store(true, std::memory_order_release);
 }
 
@@ -61,6 +63,11 @@ bool armed() {
 
 long injected_total() {
   return g_injected.load(std::memory_order_relaxed);  // relaxed: injector
+}
+
+long consumed() {
+  return g_armed_with.load(std::memory_order_relaxed) -  // relaxed: injector
+         g_countdown.load(std::memory_order_relaxed);    // relaxed: injector
 }
 
 bool should_fail(Site site) {

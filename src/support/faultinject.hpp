@@ -49,6 +49,13 @@ bool armed();
 /// Number of faults fired since process start.
 long injected_total();
 
+/// Hook checks the countdown has consumed since the last arm(): eligible
+/// checks only (matching site, calling thread not suspended). Arming with
+/// a countdown no call can reach and reading this before disarm() counts
+/// the acquisitions of one clean call, which is how the fault sweeps size
+/// themselves.
+long consumed();
+
 /// Hook called by instrumented code: true when the caller must simulate a
 /// failure now. The caller throws its natural error type (WorkspaceError,
 /// std::bad_alloc, TaskError) so injected failures are indistinguishable

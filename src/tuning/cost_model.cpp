@@ -100,13 +100,15 @@ GemmCostModel measure_gemm_cost_model(index_t max_size, int reps) {
       Matrix b = random_matrix(sh[1], sh[2], rng);
       Matrix c(sh[0], sh[2]);
       c.fill(0.0);
-      const double t = time_min(
-          [&] {
-            blas::dgemm(Trans::no, Trans::no, sh[0], sh[2], sh[1], 1.0,
-                        a.data(), a.ld(), b.data(), b.ld(), 0.0, c.data(),
-                        c.ld());
-          },
-          reps);
+      const auto gemm = [&] {
+        blas::dgemm(Trans::no, Trans::no, sh[0], sh[2], sh[1], 1.0, a.data(),
+                    a.ld(), b.data(), b.ld(), 0.0, c.data(), c.ld());
+      };
+      // Untimed first call: a fanned-out GEMM's first contact with a cold
+      // pool worker allocates that worker's pack scratch, which is no part
+      // of the GEMM's cost and would dominate a one-rep sample.
+      gemm();
+      const double t = time_min(gemm, reps);
       samples.push_back({sh[0], sh[1], sh[2], t});
     }
   }

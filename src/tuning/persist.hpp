@@ -39,7 +39,8 @@ struct TunedCriteria {
 
   /// Scheme crossovers measured by the autotune pass (tuning/autotune.hpp),
   /// as equivalent orders s = cbrt(m*k*n); 0 = unmeasured / never won.
-  /// These feed core::TunedPolicy: plain GEMM at or below tau_fused, two
+  /// These feed core::TunedPolicy: plain GEMM at or below tau_fused (at
+  /// every size when it is 0), two
   /// fused levels above tau_fused2, the classic eq.-15 hybrid recursion
   /// above tau_hybrid (forced STRASSEN2 instead of the automatic hybrid
   /// above tau_s2 within that regime), the task-DAG above tau_dag. Files
@@ -50,7 +51,8 @@ struct TunedCriteria {
   double tau_hybrid = 0;
   double tau_s2 = 0;
   double tau_dag = 0;
-  /// Pool size the DAG crossover was measured with (0 = not measured).
+  /// Thread budget every schedule was timed with (0 = not recorded: the
+  /// policy then matches no budget and every call routes to GEMM).
   int threads = 0;
 
   /// The criterion appropriate for a call with this beta.

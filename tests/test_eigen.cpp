@@ -269,7 +269,8 @@ TEST(Isda, DgefmmBackendAgreesWithDgemmBackend) {
   base.base_size = 12;
   base.gemm = eigen::gemm_backend_dgemm();
   IsdaOptions fast = base;
-  fast.gemm = eigen::gemm_backend_dgefmm();
+  fast.gemm = eigen::gemm_backend_dgefmm(
+      core::CutoffCriterion::paper_default(blas::Machine::rs6000));
   const IsdaResult r1 = eigen::isda_eigensolver(a.view(), base);
   const IsdaResult r2 = eigen::isda_eigensolver(a.view(), fast);
   for (index_t i = 0; i < n; ++i) {

@@ -199,7 +199,11 @@ TEST_F(ArenaGuards, DisabledGuardsDetectNothing) {
 // ---------------------------------------------------------------------------
 // The fault sweeps.
 
-constexpr long kSweepLimit = 64;  // far above the acquisition count per call
+// A sweep's cap is a counted total, not a constant: the acquisitions of
+// one clean call (see sweep_limit) plus this margin. A cold pool warms
+// every worker's pack scratch inside the counted call, so the sweep's own
+// calls make at most as many and end clean within the cap.
+constexpr long kSweepMargin = 8;
 
 struct Problem {
   index_t m, n, k;
@@ -268,32 +272,53 @@ bool check_armed_call(const Problem& p, FailurePolicy policy,
   return true;
 }
 
+// Counts the fallible acquisitions of one clean call: armed with a
+// countdown no call reaches, the injector counts every eligible hook check.
+// The call must succeed with the right product and acquire something
+// (otherwise the sweep would test nothing). Returns the sweep's cap.
+template <class Call>
+long sweep_limit(const Problem& p, Call&& call) {
+  Matrix c(p.m, p.n);
+  copy(p.c0.view(), c.view());
+  fi::arm(1L << 40);
+  const int info = call(c);
+  const long acquisitions = fi::consumed();
+  fi::disarm();
+  EXPECT_EQ(info, 0);
+  EXPECT_LT(max_abs_diff(c.view(), p.want.view()), 1e-10);
+  EXPECT_GT(acquisitions, 0) << "the swept call acquires nothing";
+  return acquisitions + kSweepMargin;
+}
+
 void sweep_serial(index_t m, index_t n, index_t k, Scheme scheme, double beta,
                   FailurePolicy policy, std::uint64_t seed) {
   const Problem p(m, n, k, 1.0, beta, seed);
-  for (long nth = 1; nth <= kSweepLimit; ++nth) {
+  const auto call = [&](Matrix& c, DgefmmStats* stats) {
+    DgefmmConfig cfg;
+    cfg.cutoff = CutoffCriterion::square_simple(16);
+    cfg.scheme = scheme;
+    cfg.on_failure = policy;
+    cfg.stats = stats;
+    return core::dgefmm(Trans::no, Trans::no, p.m, p.n, p.k, p.alpha,
+                        p.a.data(), p.m, p.b.data(), p.k, p.beta, c.data(),
+                        p.m, cfg);
+  };
+  const long limit =
+      sweep_limit(p, [&](Matrix& c) { return call(c, nullptr); });
+  for (long nth = 1; nth <= limit; ++nth) {
     SCOPED_TRACE(::testing::Message()
                  << "serial " << m << "x" << n << "x" << k << " scheme "
                  << static_cast<int>(scheme) << " beta " << beta << " nth "
                  << nth);
     DgefmmStats stats;
-    DgefmmConfig cfg;
-    cfg.cutoff = CutoffCriterion::square_simple(16);
-    cfg.scheme = scheme;
-    cfg.on_failure = policy;
-    cfg.stats = &stats;
-    const bool fired =
-        check_armed_call(p, policy, stats, nth, [&](Matrix& c) {
-          return core::dgefmm(Trans::no, Trans::no, p.m, p.n, p.k, p.alpha,
-                              p.a.data(), p.m, p.b.data(), p.k, p.beta,
-                              c.data(), p.m, cfg);
-        });
+    const bool fired = check_armed_call(
+        p, policy, stats, nth, [&](Matrix& c) { return call(c, &stats); });
     if (!fired) return;
     if (policy == FailurePolicy::fallback) {
       EXPECT_GT(stats.faults_injected, 0);
     }
   }
-  FAIL() << "sweep did not reach a fault-free run within " << kSweepLimit
+  FAIL() << "sweep did not reach a fault-free run within " << limit
          << " acquisitions";
 }
 
@@ -301,30 +326,32 @@ void sweep_parallel(index_t m, index_t n, index_t k, Scheme scheme,
                     double beta, FailurePolicy policy, std::uint64_t seed,
                     int par_depth = 0, int lanes = 0) {
   const Problem p(m, n, k, 1.0, beta, seed);
-  for (long nth = 1; nth <= kSweepLimit; ++nth) {
+  const auto call = [&](Matrix& c, DgefmmStats* stats) {
+    parallel::ParallelDgefmmConfig cfg;
+    cfg.cutoff = CutoffCriterion::square_simple(16);
+    cfg.scheme = scheme;
+    cfg.on_failure = policy;
+    cfg.stats = stats;
+    cfg.par_depth = par_depth;
+    cfg.lanes = lanes;
+    return parallel::dgefmm_parallel(Trans::no, Trans::no, p.m, p.n, p.k,
+                                     p.alpha, p.a.data(), p.m, p.b.data(),
+                                     p.k, p.beta, c.data(), p.m, cfg);
+  };
+  const long limit =
+      sweep_limit(p, [&](Matrix& c) { return call(c, nullptr); });
+  for (long nth = 1; nth <= limit; ++nth) {
     SCOPED_TRACE(::testing::Message()
                  << "parallel " << m << "x" << n << "x" << k << " scheme "
                  << static_cast<int>(scheme) << " beta " << beta
                  << " par_depth " << par_depth << " lanes " << lanes
                  << " nth " << nth);
     DgefmmStats stats;
-    parallel::ParallelDgefmmConfig cfg;
-    cfg.cutoff = CutoffCriterion::square_simple(16);
-    cfg.scheme = scheme;
-    cfg.on_failure = policy;
-    cfg.stats = &stats;
-    cfg.par_depth = par_depth;
-    cfg.lanes = lanes;
-    const bool fired =
-        check_armed_call(p, policy, stats, nth, [&](Matrix& c) {
-          return parallel::dgefmm_parallel(Trans::no, Trans::no, p.m, p.n,
-                                           p.k, p.alpha, p.a.data(), p.m,
-                                           p.b.data(), p.k, p.beta, c.data(),
-                                           p.m, cfg);
-        });
+    const bool fired = check_armed_call(
+        p, policy, stats, nth, [&](Matrix& c) { return call(c, &stats); });
     if (!fired) return;
   }
-  FAIL() << "sweep did not reach a fault-free run within " << kSweepLimit
+  FAIL() << "sweep did not reach a fault-free run within " << limit
          << " acquisitions";
 }
 
@@ -447,18 +474,26 @@ TEST_F(FaultInject, ParallelSweepOddFallback) {
 // ---------------------------------------------------------------------------
 // The C ABI under injected faults: nothing may unwind through extern "C".
 
+// The explicit eq.-15 entry with a small cutoff, so the call recurses.
+auto cabi_call(const Problem& p) {
+  return [&p](Matrix& c) {
+    return strassen_dgefmm_tuned('N', 'N', p.m, p.n, p.k, p.alpha, p.a.data(),
+                                 p.m, p.b.data(), p.k, p.beta, c.data(), p.m,
+                                 8, 8, 8, 8);
+  };
+}
+
 TEST_F(FaultInject, CAbiSweepFallbackAlwaysSucceeds) {
   const Problem p(64, 64, 64, 1.0, 0.5, 31);
   strassen_dgefmm_set_failure_policy('F');
-  for (long nth = 1; nth <= kSweepLimit; ++nth) {
+  const long limit = sweep_limit(p, cabi_call(p));
+  for (long nth = 1; nth <= limit; ++nth) {
     SCOPED_TRACE(::testing::Message() << "cabi fallback nth " << nth);
     Matrix c(p.m, p.n);
     copy(p.c0.view(), c.view());
     const long before = fi::injected_total();
     fi::arm(nth);
-    const int info = strassen_dgefmm_tuned('N', 'N', p.m, p.n, p.k, p.alpha,
-                                           p.a.data(), p.m, p.b.data(), p.k,
-                                           p.beta, c.data(), p.m, 8, 8, 8, 8);
+    const int info = cabi_call(p)(c);
     fi::disarm();
     // Drop-in DGEMM semantics: fault or not, the call succeeds and the
     // product is right.
@@ -472,7 +507,8 @@ TEST_F(FaultInject, CAbiSweepFallbackAlwaysSucceeds) {
 TEST_F(FaultInject, CAbiSweepStrictReportsNegativeInfo) {
   const Problem p(64, 64, 64, 1.0, 0.5, 32);
   strassen_dgefmm_set_failure_policy('S');
-  for (long nth = 1; nth <= kSweepLimit; ++nth) {
+  const long limit = sweep_limit(p, cabi_call(p));
+  for (long nth = 1; nth <= limit; ++nth) {
     SCOPED_TRACE(::testing::Message() << "cabi strict nth " << nth);
     Matrix c(p.m, p.n);
     copy(p.c0.view(), c.view());
@@ -480,9 +516,7 @@ TEST_F(FaultInject, CAbiSweepStrictReportsNegativeInfo) {
         c.data(), c.data() + static_cast<std::size_t>(p.m) * p.n);
     const long before = fi::injected_total();
     fi::arm(nth);
-    const int info = strassen_dgefmm_tuned('N', 'N', p.m, p.n, p.k, p.alpha,
-                                           p.a.data(), p.m, p.b.data(), p.k,
-                                           p.beta, c.data(), p.m, 8, 8, 8, 8);
+    const int info = cabi_call(p)(c);
     fi::disarm();
     const bool fired = fi::injected_total() > before;
     if (!fired) {

@@ -80,7 +80,8 @@ TEST(Integration, EigensolverReconstructsMatrix) {
 
   eigen::IsdaOptions opts;
   opts.base_size = 16;
-  opts.gemm = eigen::gemm_backend_dgefmm();
+  opts.gemm = eigen::gemm_backend_dgefmm(
+      core::CutoffCriterion::paper_default(blas::Machine::rs6000));
   const eigen::IsdaResult res = eigen::isda_eigensolver(a.view(), opts);
 
   // VW = V * diag(w); A_rec = VW * V^T via dgefmm.
@@ -124,7 +125,8 @@ TEST(Integration, LuSolvesSystemBuiltByDgefmm) {
             0);
 
   solver::LuOptions lopts;
-  lopts.gemm = core::gemm_backend_dgefmm();
+  lopts.gemm = core::gemm_backend_dgefmm(
+      core::CutoffCriterion::paper_default(blas::Machine::rs6000));
   const solver::LuFactors f = solver::lu_factor(a.view(), lopts);
   ASSERT_EQ(f.info, 0);
   Matrix x = solver::lu_solve(f, b.view());

@@ -222,7 +222,9 @@ TEST(Sgefmm, PredictedWorkspaceIsSufficientUnderStrict) {
 // harness of test_faults.cpp: walk the Nth-acquisition countdown until a
 // run completes clean, asserting the policy contract whenever it fires).
 
-constexpr long kSweepLimit = 64;
+// Sweep caps are a counted total (sweep_limit_f) plus this margin, as in
+// test_faults.cpp.
+constexpr long kSweepMargin = 8;
 
 struct ProblemF {
   index_t m, n, k;
@@ -291,29 +293,48 @@ bool check_armed_call_f(const ProblemF& p, FailurePolicy policy,
   return true;
 }
 
+// The acquisitions of one clean call, counted under a countdown no call
+// reaches, plus the margin: the sweep's cap.
+template <class Call>
+long sweep_limit_f(const ProblemF& p, Call&& call) {
+  MatrixF c(p.m, p.n);
+  copy(p.c0.view(), c.view());
+  fi::arm(1L << 40);
+  const int info = call(c);
+  const long acquisitions = fi::consumed();
+  fi::disarm();
+  EXPECT_EQ(info, 0);
+  EXPECT_LT(error_vs(p.want, c), tolerance(p.k));
+  EXPECT_GT(acquisitions, 0) << "the swept call acquires nothing";
+  return acquisitions + kSweepMargin;
+}
+
 void sweep_serial_f(index_t m, index_t n, index_t k, Scheme scheme,
                     float beta, FailurePolicy policy, std::uint64_t seed) {
   const ProblemF p(m, n, k, 1.0f, beta, seed);
-  for (long nth = 1; nth <= kSweepLimit; ++nth) {
+  const auto call = [&](MatrixF& c, DgefmmStats* stats) {
+    SgefmmConfig cfg;
+    cfg.cutoff = CutoffCriterion::square_simple(16);
+    cfg.scheme = scheme;
+    cfg.on_failure = policy;
+    cfg.stats = stats;
+    return core::sgefmm(Trans::no, Trans::no, p.m, p.n, p.k, p.alpha,
+                        p.a.data(), p.m, p.b.data(), p.k, p.beta, c.data(),
+                        p.m, cfg);
+  };
+  const long limit =
+      sweep_limit_f(p, [&](MatrixF& c) { return call(c, nullptr); });
+  for (long nth = 1; nth <= limit; ++nth) {
     SCOPED_TRACE(::testing::Message()
                  << "serial-f " << m << "x" << n << "x" << k << " scheme "
                  << static_cast<int>(scheme) << " beta " << beta << " nth "
                  << nth);
     DgefmmStats stats;
-    SgefmmConfig cfg;
-    cfg.cutoff = CutoffCriterion::square_simple(16);
-    cfg.scheme = scheme;
-    cfg.on_failure = policy;
-    cfg.stats = &stats;
-    const bool fired =
-        check_armed_call_f(p, policy, stats, nth, [&](MatrixF& c) {
-          return core::sgefmm(Trans::no, Trans::no, p.m, p.n, p.k, p.alpha,
-                              p.a.data(), p.m, p.b.data(), p.k, p.beta,
-                              c.data(), p.m, cfg);
-        });
+    const bool fired = check_armed_call_f(
+        p, policy, stats, nth, [&](MatrixF& c) { return call(c, &stats); });
     if (!fired) return;
   }
-  FAIL() << "sweep did not reach a fault-free run within " << kSweepLimit
+  FAIL() << "sweep did not reach a fault-free run within " << limit
          << " acquisitions";
 }
 
@@ -321,28 +342,30 @@ void sweep_parallel_f(index_t m, index_t n, index_t k, Scheme scheme,
                       float beta, FailurePolicy policy, std::uint64_t seed,
                       int par_depth = 0) {
   const ProblemF p(m, n, k, 1.0f, beta, seed);
-  for (long nth = 1; nth <= kSweepLimit; ++nth) {
+  const auto call = [&](MatrixF& c, DgefmmStats* stats) {
+    parallel::ParallelSgefmmConfig cfg;
+    cfg.cutoff = CutoffCriterion::square_simple(16);
+    cfg.scheme = scheme;
+    cfg.on_failure = policy;
+    cfg.stats = stats;
+    cfg.par_depth = par_depth;
+    return parallel::sgefmm_parallel(Trans::no, Trans::no, p.m, p.n, p.k,
+                                     p.alpha, p.a.data(), p.m, p.b.data(),
+                                     p.k, p.beta, c.data(), p.m, cfg);
+  };
+  const long limit =
+      sweep_limit_f(p, [&](MatrixF& c) { return call(c, nullptr); });
+  for (long nth = 1; nth <= limit; ++nth) {
     SCOPED_TRACE(::testing::Message()
                  << "parallel-f " << m << "x" << n << "x" << k << " scheme "
                  << static_cast<int>(scheme) << " beta " << beta
                  << " par_depth " << par_depth << " nth " << nth);
     DgefmmStats stats;
-    parallel::ParallelSgefmmConfig cfg;
-    cfg.cutoff = CutoffCriterion::square_simple(16);
-    cfg.scheme = scheme;
-    cfg.on_failure = policy;
-    cfg.stats = &stats;
-    cfg.par_depth = par_depth;
-    const bool fired =
-        check_armed_call_f(p, policy, stats, nth, [&](MatrixF& c) {
-          return parallel::sgefmm_parallel(Trans::no, Trans::no, p.m, p.n,
-                                           p.k, p.alpha, p.a.data(), p.m,
-                                           p.b.data(), p.k, p.beta, c.data(),
-                                           p.m, cfg);
-        });
+    const bool fired = check_armed_call_f(
+        p, policy, stats, nth, [&](MatrixF& c) { return call(c, &stats); });
     if (!fired) return;
   }
-  FAIL() << "sweep did not reach a fault-free run within " << kSweepLimit
+  FAIL() << "sweep did not reach a fault-free run within " << limit
          << " acquisitions";
 }
 
