@@ -134,6 +134,7 @@ void precision_rows(const char* elem, index_t n, int reps,
   ArenaT<T> arena;
   for (const auto& s : kSchemes) {
     core::GefmmConfigT<T> cfg;
+    cfg.cutoff = core::CutoffCriterion::paper_default(blas::Machine::rs6000);
     cfg.scheme = s.scheme;
     const double t = time_gefmm_t(p, cfg, arena, reps);
     const double e = forward_error(truth, p.c);

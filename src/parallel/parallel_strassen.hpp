@@ -61,12 +61,12 @@ struct ParallelGefmmConfigT {
   /// the scheduler's own counters (steals, dag_nodes, dag_lanes) and the
   /// driver's fallback/fault counters.
   core::DgefmmStats* stats = nullptr;
-  /// Consult the installed auto-tuned policy (core/tuned_policy.hpp)
-  /// before planning: when the measured DAG crossover says the task-DAG
-  /// wins at this shape the call runs here with the tuned eq.-15 cutoffs;
-  /// otherwise it routes to the serial driver with its use_tuned resolution
-  /// (plain GEMM below the fused crossover, one or two fused levels above).
-  /// A missing or kernel-stale policy leaves this configuration untouched.
+  /// Take the tuned route (core::resolve_tuned) under the budget
+  /// blas::gemm_thread_budget(threads): when the measured DAG crossover
+  /// says the task-DAG wins at this shape the call runs here with the
+  /// tuned eq.-15 cutoffs; every other path runs through the serial driver
+  /// under that budget. A missing, kernel-stale or other-budget policy
+  /// resolves to one GEMM.
   bool use_tuned = false;
   /// Optional cooperative cancellation token (the serving front-end's
   /// per-request token). Checked at every task-DAG node boundary through a
