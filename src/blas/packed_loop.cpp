@@ -1,6 +1,7 @@
 #include "blas/packed_loop.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdlib>
 
@@ -58,6 +59,22 @@ template <class T>
 PackBuffersT<T>& pack_buffers() {
   thread_local PackBuffersT<T> bufs;
   return bufs;
+}
+
+// The largest pack sizes a successful all-worker warm has proved for
+// element type T. Every worker still holds at least this much: the global
+// pool is never rebuilt, PackBuffersT::ensure only grows, and workers never
+// release their scratch. A failed warm records nothing.
+template <class T>
+struct WorkersWarmT {
+  std::atomic<std::size_t> a_pack{0};
+  std::atomic<std::size_t> b_pack{0};
+};
+
+template <class T>
+WorkersWarmT<T>& workers_warm() {
+  static WorkersWarmT<T> warm;
+  return warm;
 }
 
 int gemm_threads_env_default() {
@@ -315,8 +332,20 @@ void ensure_pack_capacity_all_workers(const GemmBlocking& bk) {
   ensure_pack_capacity<T>(bk);
   parallel::ThreadPool& pool = parallel::global_pool();
   if (pool.on_worker_thread()) return;  // the outer driver warmed the pool
+  // Skip the pool-wide barrier when an earlier warm already covered this
+  // blocking: a per-call barrier costs more than a small pooled GEMM.
+  const std::size_t a_need = a_pack_elems<T>(bk);
+  const std::size_t b_need = b_pack_elems<T>(bk);
+  WorkersWarmT<T>& warm = workers_warm<T>();
+  if (a_need <= warm.a_pack.load() && b_need <= warm.b_pack.load()) {
+    return;
+  }
   pool.run_on_each_worker(
       [&bk](std::size_t) { ensure_pack_capacity<T>(bk); });
+  // Every size ever stored was proved by a successful warm, so a racing
+  // caller can at worst lower the record and cost a later call a barrier.
+  warm.a_pack.store(std::max(a_need, warm.a_pack.load()));
+  warm.b_pack.store(std::max(b_need, warm.b_pack.load()));
 }
 
 template void ensure_pack_capacity_all_workers<double>(const GemmBlocking&);

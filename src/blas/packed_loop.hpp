@@ -226,8 +226,11 @@ void ensure_pack_capacity(const GemmBlocking& bk);
 /// over the pool -- lazy first-touch allocation on a cold worker would
 /// otherwise fire inside the ScopedSuspend no-fail region. Called from a
 /// pool worker it degrades to the calling-thread warm (the outer parallel
-/// driver has already warmed the pool). May throw std::bad_alloc or
-/// TaskError (fault injection).
+/// driver has already warmed the pool). The pool-wide barrier runs once per
+/// growth of the blocking, not once per call: a call whose pack sizes an
+/// earlier successful warm already covered only warms the calling thread.
+/// May throw std::bad_alloc or TaskError (fault injection); a failed warm
+/// is retried in full by the next call.
 template <class T = double>
 void ensure_pack_capacity_all_workers(const GemmBlocking& bk);
 
@@ -237,7 +240,9 @@ void ensure_pack_capacity_all_workers(const GemmBlocking& bk);
 /// releasing its cached workspace) calls this so warmed scratch is not
 /// retained-memory growth. The next packed GEMM on this thread simply
 /// re-warms. Must not be called while a packed GEMM submitted from this
-/// thread is still fanned out (its workers read the submitter's B scratch).
+/// thread is still fanned out (its workers read the submitter's B scratch),
+/// nor from a pool worker (ensure_pack_capacity_all_workers trusts that
+/// worker scratch only grows).
 template <class T = double>
 void release_pack_capacity();
 

@@ -8,6 +8,7 @@
 #include <limits>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -19,6 +20,7 @@
 #include "core/cabi.hpp"
 #include "core/dgefmm.hpp"
 #include "core/sgefmm.hpp"
+#include "core/tuned_policy.hpp"
 #include "core/workspace.hpp"
 #include "parallel/parallel_strassen.hpp"
 #include "parallel/task_dag.hpp"
@@ -58,6 +60,12 @@ struct RequestStateT {
   std::size_t need = 0;    // exact workspace price of the chosen path
   bool use_dag = false;    // task-DAG driver vs. serial driver
   parallel::DagPlan plan;  // pinned moldable plan (valid when use_dag)
+  // The route resolved at admission: explicit cutoff, scheme and fused
+  // levels that the driver runs as priced (never the tuned criterion).
+  core::GefmmConfigT<T> route;
+  const char* tuned_path = nullptr;  // the tuned route's path, else null
+  int budget = 0;  // GEMM thread budget a tuned route was resolved under
+                   // (0: no policy was installed, nothing to pin)
   std::atomic<bool> cancel{false};
   Clock::time_point submitted_at{};
 
@@ -380,31 +388,42 @@ class QueueImplT {
     }
   }
 
-  // Decides the execution path exactly as the drivers will and prices its
-  // workspace with the exact predictors, so the carved lease is an
-  // exactly-sized borrowed arena the run cannot exceed. The DAG decision
-  // mirrors gefmm_parallel_t's serial fallback: degenerate shapes and
+  // Resolves the route once, at admission, and prices it with the exact
+  // predictors, so the carved lease is an exactly-sized borrowed arena the
+  // run cannot exceed. A tuned request takes the one tuned route
+  // (core::resolve_tuned, the DAG a candidate iff prefer_parallel) under
+  // the submitting thread's GEMM budget; an explicit cutoff keeps the
+  // DAG-or-serial choice. Either way the DAG decision mirrors
+  // gefmm_parallel_t's serial fallback: degenerate shapes and
   // cutoff-stopped problems run (and are priced as) the serial driver.
   void plan_request(RequestStateT<T>& st) const {
     const GemmRequestT<T>& r = st.req;
-    st.use_dag = r.prefer_parallel && r.m >= 2 && r.k >= 2 && r.n >= 2 &&
-                 r.alpha != T(0) && !r.cutoff.stop(r.m, r.k, r.n, 0);
+    st.route.cutoff = r.cutoff;
+    st.route.scheme = r.scheme;
+    bool dag_candidate = r.prefer_parallel;
+    if (r.cutoff.kind == core::CutoffKind::tuned) {
+      st.budget =
+          core::tuned_policy<T>() != nullptr ? blas::gemm_thread_budget() : 0;
+      const core::TunedPath path = core::resolve_tuned<T>(
+          r.m, r.k, r.n, r.beta, st.budget, r.prefer_parallel, st.route);
+      st.tuned_path = core::tuned_path_name(path);
+      dag_candidate = path == core::TunedPath::dag;
+    }
+    st.use_dag = dag_candidate && r.m >= 2 && r.k >= 2 && r.n >= 2 &&
+                 r.alpha != T(0) && !st.route.cutoff.stop(r.m, r.k, r.n, 0);
     if (st.use_dag) {
       parallel::ParallelGefmmConfigT<T> cfg;
-      cfg.cutoff = r.cutoff;
-      cfg.scheme = r.scheme;
+      cfg.cutoff = st.route.cutoff;
+      cfg.scheme = st.route.scheme;
       st.plan = parallel::plan_dag<T>(r.m, r.n, r.k, cfg);
       st.need = static_cast<std::size_t>(st.plan.workspace);
       return;
     }
-    core::GefmmConfigT<T> cfg;
-    cfg.cutoff = r.cutoff;
-    cfg.scheme = r.scheme;
     count_t need;
     if constexpr (std::is_same_v<T, float>) {
-      need = core::workspace_floats(r.m, r.n, r.k, r.beta, cfg);
+      need = core::workspace_floats(r.m, r.n, r.k, r.beta, st.route);
     } else {
-      need = core::workspace_doubles(r.m, r.n, r.k, r.beta, cfg);
+      need = core::workspace_doubles(r.m, r.n, r.k, r.beta, st.route);
     }
     st.need = static_cast<std::size_t>(need);
   }
@@ -480,22 +499,26 @@ class QueueImplT {
 };
 
 // One admitted run: builds the driver configuration over the borrowed
-// lease arena and calls the vertical the admission pricing assumed. The
-// plan's moldable fields are pinned so the driver re-derives exactly the
-// priced reservation; the cancel token rides into the task DAG, which
-// checks it at every node boundary.
+// lease arena and calls the vertical the admission pricing assumed, with
+// the route resolved there. The plan's moldable fields are pinned so the
+// driver re-derives exactly the priced reservation; the cancel token rides
+// into the task DAG, which checks it at every node boundary. A tuned route
+// runs under the GEMM budget it was resolved for.
 template <class T>
-int dispatch_request(const GemmRequestT<T>& req, ArenaT<T>& workspace,
-                     bool use_dag, const parallel::DagPlan& plan,
+int dispatch_request(const RequestStateT<T>& st, ArenaT<T>& workspace,
                      core::DgefmmStats* run_stats,
                      const std::atomic<bool>* cancel) {
-  if (use_dag) {
+  const GemmRequestT<T>& req = st.req;
+  std::optional<blas::ScopedGemmThreads> keyed;
+  if (st.budget > 0) keyed.emplace(st.budget);
+  run_stats->tuned_path = st.tuned_path;
+  if (st.use_dag) {
     parallel::ParallelGefmmConfigT<T> cfg;
-    cfg.cutoff = req.cutoff;
-    cfg.scheme = req.scheme;
-    cfg.par_depth = plan.par_depth;
-    cfg.lanes = plan.lanes;
-    cfg.leaf_gemm_threads = plan.leaf_gemm_threads;
+    cfg.cutoff = st.route.cutoff;
+    cfg.scheme = st.route.scheme;
+    cfg.par_depth = st.plan.par_depth;
+    cfg.lanes = st.plan.lanes;
+    cfg.leaf_gemm_threads = st.plan.leaf_gemm_threads;
     cfg.workspace = &workspace;
     cfg.on_failure = req.on_failure;
     cfg.stats = run_stats;
@@ -512,9 +535,7 @@ int dispatch_request(const GemmRequestT<T>& req, ArenaT<T>& workspace,
                                        req.ldc, cfg);
     }
   }
-  core::GefmmConfigT<T> cfg;
-  cfg.cutoff = req.cutoff;
-  cfg.scheme = req.scheme;
+  core::GefmmConfigT<T> cfg = st.route;
   cfg.packed_b = req.packed_b;
   cfg.workspace = &workspace;
   cfg.on_failure = req.on_failure;
@@ -587,8 +608,7 @@ void execute_request(QueueImplT<T>& q,
   core::DgefmmStats run_stats;
   int info = 0;
   try {
-    info = dispatch_request<T>(st->req, lease.arena(), st->use_dag, st->plan,
-                               &run_stats, &st->cancel);
+    info = dispatch_request<T>(*st, lease.arena(), &run_stats, &st->cancel);
   } catch (...) {
     lease.release();
     q.mem_cv_.notify_all();

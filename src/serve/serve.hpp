@@ -7,10 +7,20 @@
 // and a degradation story when the machine is saturated. This module is
 // that front-end, built from guarantees the lower layers already prove:
 //
+//  * Every request's route is resolved once, at admission, and the worker
+//    runs exactly that route. A default request takes the library's one
+//    tuned route (core::resolve_tuned, as strassen_dgefmm and
+//    dgefmm_parallel{use_tuned} do): one pooled GEMM without a tuned policy
+//    for the active kernel and thread budget, otherwise the schedule the
+//    policy picks, the task DAG included when prefer_parallel is set. A
+//    request that names a cutoff recurses on the task DAG or the serial
+//    driver, as that cutoff decides.
+//
 //  * Admission control is *exact*, not heuristic. Every request's peak
-//    workspace is priced by the same predictors the drivers obey
-//    (core::workspace_doubles / parallel plan_dag().workspace and the float
-//    twins), and all serving workspace is carved from one budgeted
+//    workspace is the price of its resolved route, from the same predictors
+//    the drivers obey (core::workspace_doubles / parallel
+//    plan_dag().workspace and the float twins; 0 for one GEMM), and all
+//    serving workspace is carved from one budgeted
 //    ArenaPoolT (support/arena_pool.hpp) whose invariant
 //    in_use + cached <= budget holds under a single mutex. A request that
 //    can never fit the budget is rejected (or shed) up front; one that
@@ -145,11 +155,15 @@ struct GemmRequestT {
   T beta = T(0);
   T* c = nullptr;
   index_t ldc = 1;
-  /// Cutoff and schedule, as in GefmmConfigT. The cutoff also decides the
-  /// execution path: shapes it sends straight to GEMM run the serial
-  /// driver even when prefer_parallel is set.
-  core::CutoffCriterion cutoff =
-      core::CutoffCriterion::paper_default(blas::active_machine());
+  /// Cutoff and schedule, as in GefmmConfigT. The default tuned()
+  /// criterion resolves the route at admission through core::resolve_tuned
+  /// under the submitting thread's GEMM thread budget, and the run is
+  /// pinned to that budget: one pooled GEMM when no policy for the active
+  /// kernel and budget is installed, else the policy's schedule and
+  /// cutoffs (`scheme` is then ignored). An explicit cutoff decides the
+  /// execution path itself: shapes it sends straight to GEMM run the
+  /// serial driver even when prefer_parallel is set.
+  core::CutoffCriterion cutoff = core::CutoffCriterion::tuned();
   core::Scheme scheme = core::Scheme::automatic;
   /// Per-request failure policy for acquisition failures *inside* the
   /// admitted run (injected faults, allocator failure within budget):
@@ -158,8 +172,11 @@ struct GemmRequestT {
   /// shed. Admission outcomes (reject/expire/cancel) are independent of
   /// this knob.
   core::FailurePolicy on_failure = core::FailurePolicy::strict;
-  /// Use the task-DAG parallel driver when the shape supports recursion
-  /// (the admission predictor prices whichever path will actually run).
+  /// Let the request run on the task-DAG parallel driver: with an explicit
+  /// cutoff whenever the shape supports recursion, on the tuned route when
+  /// the policy's DAG crossover picks it. False keeps every request on the
+  /// serial driver. The admission predictor prices whichever path will
+  /// actually run.
   bool prefer_parallel = true;
   /// Steady-clock deadline; kNoDeadline disables it. Only enforced while
   /// the request is queued -- a request that started computing finishes.

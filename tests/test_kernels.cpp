@@ -17,7 +17,9 @@
 //     pre-flight), and once ensure_pack_capacity_all_workers has run, a
 //     fanned-out packed GEMM performs no allocation at all -- so the
 //     DESIGN.md section 7 no-fail region stays allocation-free under the
-//     new threading.
+//     new threading. The pool-wide warm runs once per growth of the
+//     blocking: a warmed blocking skips the barrier, a larger one or a
+//     failed warm runs it again.
 //
 // Note on the STRASSEN_KERNEL environment override: the dispatcher reads
 // it once, at the first active_kernel() call, so it cannot be probed from
@@ -808,10 +810,17 @@ class KernelWarm : public ::testing::Test {
   void TearDown() override { fi::disarm(); }
 };
 
-// Blockings larger than any cache-derived one (mc/kc/nc clamp to at most
-// 1024/512/8192), so pool workers are guaranteed cold for them no matter
-// what ran before in this process.
-constexpr blas::GemmBlocking kColdBk{1048, 520, 8200};
+// A blocking no earlier warm in this process has covered, whatever ran
+// before: larger than any cache-derived one (mc/kc/nc clamp to at most
+// 1024/512/8192), with kc growing on every call so both pack sizes exceed
+// those of every blocking handed out before. The all-worker warm skips
+// blockings it has already proved, so each test that needs cold workers
+// takes its own.
+blas::GemmBlocking cold_blocking() {
+  static index_t calls = 0;
+  ++calls;
+  return blas::GemmBlocking{1048, 520 + 8 * calls, 8200};
+}
 
 TEST_F(KernelWarm, ColdWorkerScratchIsARealAllocation) {
   // Warm the calling thread first so the only cold scratch left belongs to
@@ -819,26 +828,25 @@ TEST_F(KernelWarm, ColdWorkerScratchIsARealAllocation) {
   // the pre-flight warm as std::bad_alloc -- proving the warm reaches the
   // workers and that skipping it would leave a live allocation site for
   // the no-fail compute region to trip over.
-  blas::ensure_pack_capacity(kColdBk);
+  const blas::GemmBlocking bk = cold_blocking();
+  blas::ensure_pack_capacity(bk);
   fi::arm(1, fi::Site::buffer_alloc);
-  EXPECT_THROW(blas::ensure_pack_capacity_all_workers(kColdBk),
-               std::bad_alloc);
+  EXPECT_THROW(blas::ensure_pack_capacity_all_workers(bk), std::bad_alloc);
   fi::disarm();
 
   // The warm is idempotent: once it has succeeded, re-running it performs
   // no allocation at all (an armed fault stays armed).
-  EXPECT_NO_THROW(blas::ensure_pack_capacity_all_workers(kColdBk));
+  EXPECT_NO_THROW(blas::ensure_pack_capacity_all_workers(bk));
   fi::arm(1, fi::Site::buffer_alloc);
-  EXPECT_NO_THROW(blas::ensure_pack_capacity_all_workers(kColdBk));
+  EXPECT_NO_THROW(blas::ensure_pack_capacity_all_workers(bk));
   EXPECT_TRUE(fi::armed());
 }
 
 TEST_F(KernelWarm, FloatScratchIsSeparateFromDouble) {
   // Each element size owns its own pack scratch: warming the double side
-  // must not satisfy the float side. A blocking slightly larger than
-  // kColdBk guarantees both sides are cold for it here, regardless of what
-  // earlier tests warmed.
-  const blas::GemmBlocking bk{kColdBk.mc + 8, kColdBk.kc + 8, kColdBk.nc + 8};
+  // must not satisfy the float side. A fresh cold blocking guarantees both
+  // sides are cold for it here, regardless of what earlier tests warmed.
+  const blas::GemmBlocking bk = cold_blocking();
   blas::ensure_pack_capacity<double>(bk);
   blas::ensure_pack_capacity_all_workers<double>(bk);
   // Double side fully warm; the float warm must still be a real allocation.
@@ -858,7 +866,50 @@ TEST_F(KernelWarm, PinnedWarmTaskFaultSurfacesAsTaskError) {
   // a task-start fault during the pre-flight surfaces as the typed
   // TaskError (and never as a crash inside the compute phase).
   fi::arm(1, fi::Site::pool_task);
-  EXPECT_THROW(blas::ensure_pack_capacity_all_workers(kColdBk), TaskError);
+  EXPECT_THROW(blas::ensure_pack_capacity_all_workers(cold_blocking()),
+               TaskError);
+}
+
+TEST_F(KernelWarm, WarmedBlockingSkipsTheBarrier) {
+  // After a successful all-worker warm, a call that needs no more scratch
+  // (the same blocking or a smaller one) runs no pool task and allocates
+  // nothing: armed faults at both sites stay armed.
+  const blas::GemmBlocking bk = cold_blocking();
+  blas::ensure_pack_capacity_all_workers(bk);
+  const blas::GemmBlocking smaller{bk.mc / 2, bk.kc / 2, bk.nc / 2};
+  for (const fi::Site site : {fi::Site::pool_task, fi::Site::buffer_alloc}) {
+    SCOPED_TRACE(fi::site_name(site));
+    fi::arm(1, site);
+    EXPECT_NO_THROW(blas::ensure_pack_capacity_all_workers(bk));
+    EXPECT_NO_THROW(blas::ensure_pack_capacity_all_workers(smaller));
+    EXPECT_TRUE(fi::armed()) << "no barrier may have run";
+    fi::disarm();
+  }
+}
+
+TEST_F(KernelWarm, LargerBlockingRunsTheBarrierAgain) {
+  const blas::GemmBlocking bk = cold_blocking();
+  blas::ensure_pack_capacity_all_workers(bk);
+  const blas::GemmBlocking larger = cold_blocking();
+  ASSERT_GT(larger.kc, bk.kc);
+  fi::arm(1, fi::Site::pool_task);
+  EXPECT_THROW(blas::ensure_pack_capacity_all_workers(larger), TaskError);
+}
+
+TEST_F(KernelWarm, FailedWarmIsRetried) {
+  // A warm that failed proved nothing: the next call runs the barrier
+  // again (an armed pool_task fault fires a second time), and only a
+  // successful warm lets later calls skip it.
+  const blas::GemmBlocking bk = cold_blocking();
+  fi::arm(1, fi::Site::pool_task);
+  EXPECT_THROW(blas::ensure_pack_capacity_all_workers(bk), TaskError);
+  fi::arm(1, fi::Site::pool_task);
+  EXPECT_THROW(blas::ensure_pack_capacity_all_workers(bk), TaskError);
+  fi::disarm();
+  EXPECT_NO_THROW(blas::ensure_pack_capacity_all_workers(bk));
+  fi::arm(1, fi::Site::pool_task);
+  EXPECT_NO_THROW(blas::ensure_pack_capacity_all_workers(bk));
+  EXPECT_TRUE(fi::armed());
 }
 
 TEST_F(KernelWarm, WarmedFanOutComputeAllocatesNothing) {

@@ -9,16 +9,20 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "blas/gemm.hpp"
+#include "blas/kernels.hpp"
 #include "blas/packed_loop.hpp"
 #include "core/cabi.hpp"
 #include "core/dgefmm.hpp"
 #include "core/sgefmm.hpp"
+#include "core/tuned_policy.hpp"
 #include "parallel/parallel_strassen.hpp"
 #include "parallel/task_dag.hpp"
 #include "serve/serve.hpp"
@@ -268,6 +272,191 @@ TEST(Serve, BadArgumentCompletesFailed) {
   EXPECT_EQ(q.stats().failed, 1u);
 }
 
+// --- the serving route --------------------------------------------------------
+
+// Which schedule a request's resolved route runs, and so how it is priced.
+enum class Runs { gemm, dag, serial };
+
+// One row of the route table: the policy installed (if any), the request's
+// knobs, and what must run.
+struct RouteCase {
+  const char* name;
+  bool policy;             // install a policy stamped with the active kernel
+  int policy_threads;      // its budget stamp (kRouteBudget: a hit)
+  double tau_dag;          // its DAG crossover (0: never the DAG)
+  bool prefer_parallel;
+  bool paper_cutoff;       // an explicit paper_default(rs6000) request
+  index_t n;
+  Runs runs;
+  const char* tuned_path;  // stats().tuned_path (null: not the tuned route)
+};
+
+// The GEMM thread budget every route case submits under; the policies that
+// should hit are stamped with it.
+constexpr int kRouteBudget = 4;
+
+constexpr RouteCase kRouteCases[] = {
+    {"no policy: one pooled GEMM", false, 0, 0, true, false, 64, Runs::gemm,
+     "gemm"},
+    {"DAG policy under this budget", true, kRouteBudget, 40, true, false, 64,
+     Runs::dag, "dag"},
+    {"fused-l1 policy", true, kRouteBudget, 0, true, false, 64, Runs::serial,
+     "fused-l1"},
+    {"policy stamped with another budget", true, kRouteBudget - 1, 40, true,
+     false, 64, Runs::gemm, "gemm"},
+    {"prefer_parallel = false never takes the DAG", true, kRouteBudget, 40,
+     false, false, 64, Runs::serial, "fused-l1"},
+    {"explicit paper cutoff keeps the DAG", false, 0, 0, true, true, 256,
+     Runs::dag, nullptr},
+};
+
+// A policy whose fused crossover sits below every route case, with eq.-15
+// cutoffs small enough that the Strassen routes really recurse at n = 64.
+template <class T>
+core::TunedPolicy route_policy(const RouteCase& rc) {
+  core::TunedPolicy p;
+  std::snprintf(p.kernel, sizeof p.kernel, "%s",
+                blas::active_kernel_t<T>().name);
+  p.threads = rc.policy_threads;
+  p.tau_fused = 32;
+  p.tau_dag = rc.tau_dag;
+  p.beta_zero = core::CutoffCriterion::hybrid(16, 8, 8, 8);
+  p.general = p.beta_zero;
+  return p;
+}
+
+// The synchronous C ABI: the one tuned route of the calling thread.
+template <class T>
+int cabi_gefmm(index_t n, T alpha, const MatrixT<T>& a, const MatrixT<T>& b,
+               T beta, MatrixT<T>& c) {
+  if constexpr (std::is_same_v<T, float>) {
+    return strassen_sgefmm('N', 'N', n, n, n, alpha, a.data(), a.ld(),
+                           b.data(), b.ld(), beta, c.data(), c.ld());
+  } else {
+    return strassen_dgefmm('N', 'N', n, n, n, alpha, a.data(), a.ld(),
+                           b.data(), b.ld(), beta, c.data(), c.ld());
+  }
+}
+
+template <class T>
+int parallel_gefmm(index_t n, T alpha, const MatrixT<T>& a,
+                   const MatrixT<T>& b, T beta, MatrixT<T>& c,
+                   const parallel::ParallelGefmmConfigT<T>& cfg) {
+  if constexpr (std::is_same_v<T, float>) {
+    return parallel::sgefmm_parallel(Trans::no, Trans::no, n, n, n, alpha,
+                                     a.data(), a.ld(), b.data(), b.ld(), beta,
+                                     c.data(), c.ld(), cfg);
+  } else {
+    return parallel::dgefmm_parallel(Trans::no, Trans::no, n, n, n, alpha,
+                                     a.data(), a.ld(), b.data(), b.ld(), beta,
+                                     c.data(), c.ld(), cfg);
+  }
+}
+
+// Each case prices the request at exactly its route's predictor (the lease
+// peak of a lone request on a fresh queue), runs that route, and leaves C
+// bitwise equal to the direct entry that takes the same route.
+template <class T>
+void serving_route_table() {
+  for (const RouteCase& rc : kRouteCases) {
+    SCOPED_TRACE(rc.name);
+    core::clear_tuned_policy<T>();
+    const core::TunedPolicy policy = route_policy<T>(rc);
+    if (rc.policy) core::install_tuned_policy<T>(policy);
+    const blas::ScopedGemmThreads budget(kRouteBudget);
+    const index_t n = rc.n;
+    const T alpha = T(1.25);
+    const T beta = T(-0.5);
+    Rng rng(501);
+    const MatrixT<T> a = random_square<T>(n, rng);
+    const MatrixT<T> b = random_square<T>(n, rng);
+    const MatrixT<T> c0 = random_square<T>(n, rng);
+    const core::CutoffCriterion paper =
+        core::CutoffCriterion::paper_default(blas::Machine::rs6000);
+
+    // The route's own predictor, and the direct entry that runs it.
+    std::size_t need = 0;
+    MatrixT<T> want(n, n);
+    copy(c0.view(), want.view());
+    if (rc.runs == Runs::dag) {
+      parallel::ParallelGefmmConfigT<T> cfg;
+      if (rc.paper_cutoff) {
+        cfg.cutoff = paper;
+      } else {
+        cfg.cutoff = policy.select(static_cast<double>(beta));
+        cfg.scheme = core::Scheme::fused;
+      }
+      need = static_cast<std::size_t>(
+          parallel::plan_dag<T>(n, n, n, cfg).workspace);
+      if (!rc.paper_cutoff) {
+        cfg = parallel::ParallelGefmmConfigT<T>{};
+        cfg.use_tuned = true;
+      }
+      ASSERT_EQ(parallel_gefmm<T>(n, alpha, a, b, beta, want, cfg), 0);
+    } else {
+      if (rc.runs == Runs::serial) {
+        core::GefmmConfigT<T> cfg;
+        cfg.cutoff = policy.select(static_cast<double>(beta));
+        cfg.scheme = core::Scheme::fused;
+        cfg.fused_levels = 1;
+        if constexpr (std::is_same_v<T, float>) {
+          need = static_cast<std::size_t>(
+              core::workspace_floats(n, n, n, beta, cfg));
+        } else {
+          need = static_cast<std::size_t>(
+              core::workspace_doubles(n, n, n, beta, cfg));
+        }
+        ASSERT_GT(need, 0u);
+      }
+      ASSERT_EQ(cabi_gefmm<T>(n, alpha, a, b, beta, want), 0);
+    }
+
+    serve::QueueT<T> q;
+    MatrixT<T> c(n, n);
+    copy(c0.view(), c.view());
+    serve::GemmRequestT<T> req;
+    req.m = req.n = req.k = n;
+    req.alpha = alpha;
+    req.a = a.data();
+    req.lda = a.ld();
+    req.b = b.data();
+    req.ldb = b.ld();
+    req.beta = beta;
+    req.c = c.data();
+    req.ldc = c.ld();
+    req.prefer_parallel = rc.prefer_parallel;
+    if (rc.paper_cutoff) req.cutoff = paper;
+    serve::TicketT<T> t = q.submit(req);
+    ASSERT_EQ(t.wait(), 0);
+    const core::DgefmmStats st = t.stats();
+    EXPECT_EQ(st.dag_nodes > 0, rc.runs == Runs::dag);
+    EXPECT_EQ(st.strassen_levels > 0, rc.runs != Runs::gemm);
+    EXPECT_EQ(st.tuned_path == nullptr ? std::string("(none)")
+                                       : std::string(st.tuned_path),
+              rc.tuned_path == nullptr ? std::string("(none)")
+                                       : std::string(rc.tuned_path));
+    EXPECT_EQ(q.stats().pool_peak, need) << "the lease is the route's price";
+    EXPECT_TRUE(bitwise_equal(c, want));
+
+    if (need > 0) {
+      // One element short of the price: admission must refuse it.
+      serve::ServeOptions tight;
+      tight.policy = serve::OverflowPolicy::reject;
+      tight.budget_elements = need - 1;
+      serve::QueueT<T> tq(tight);
+      MatrixT<T> ct(n, n);
+      copy(c0.view(), ct.view());
+      req.c = ct.data();
+      serve::TicketT<T> tt = tq.submit(req);
+      EXPECT_EQ(tt.wait(), STRASSEN_INFO_REJECTED);
+    }
+    core::clear_tuned_policy<T>();
+  }
+}
+
+TEST(ServeRoute, TableDouble) { serving_route_table<double>(); }
+TEST(ServeRoute, TableFloat) { serving_route_table<float>(); }
+
 // --- admission control against the exact budget ----------------------------
 
 TEST(Serve, InfeasibleNeedIsRejected) {
@@ -331,42 +520,53 @@ TEST(Serve, ExactNeedSerializesOnTheBudget) {
 
 // --- bounded queue backpressure --------------------------------------------
 
-// Fills the single worker with a long DAG request, then a queue slot, so a
-// third submission deterministically observes a full queue.
+// Fills the single worker with a long DAG request t1 and the one queue slot
+// with t2, then submits t3 against the full queue and hands it to `check`.
+// The slot empties only once the worker has finished t1 (tens of
+// milliseconds), and the queue depth is read right before t3 goes in: a
+// submitter descheduled for that long is caught there and the setup is
+// rebuilt, so t3 always meets a full queue.
 template <class Policy>
 void with_full_queue(serve::OverflowPolicy policy, Policy&& check) {
-  Problem<double> big(192, 108);
+  Problem<double> big(512, 108);
   Problem<double> small(32, 109);
   serve::ServeOptions opt;
   opt.queue_cap = 1;
   opt.workers = 1;
   opt.policy = policy;
-  serve::Queue q(opt);
+  for (int attempt = 0;; ++attempt) {
+    ASSERT_LT(attempt, 8) << "the worker emptied the slot on every attempt";
+    serve::Queue q(opt);
 
-  MatrixT<double> c1 = big.fresh_c();
-  serve::Ticket t1 = q.submit(big.request(c1));
-  // Wait until the worker picked it up so the queue slot is truly free.
-  while (q.stats().queue_depth != 0) std::this_thread::yield();
+    MatrixT<double> c1 = big.fresh_c();
+    serve::Ticket t1 = q.submit(big.request(c1));
+    // Wait until the worker picked it up so the queue slot is truly free.
+    while (q.stats().queue_depth != 0) std::this_thread::yield();
 
-  MatrixT<double> c2 = small.fresh_c();
-  serve::Ticket t2 = q.submit(small.request(c2));  // occupies the one slot
+    MatrixT<double> c2 = small.fresh_c();
+    serve::Ticket t2 = q.submit(small.request(c2));  // occupies the one slot
 
-  check(q, big, small, t1, t2);
+    MatrixT<double> c3 = small.fresh_c();
+    const serve::GemmRequest r3 = small.request(c3);
+    const bool full = q.stats().queue_depth == 1;
+    if (full) {
+      serve::Ticket t3 = q.submit(r3);
+      check(q, small, c3, t3);
+    }
 
-  EXPECT_EQ(t1.wait(), 0);
-  EXPECT_TRUE(bitwise_equal(c1, big.ref_dag));
-  EXPECT_EQ(t2.wait(), 0);
-  EXPECT_TRUE(bitwise_equal(c2, small.ref_dag));
+    EXPECT_EQ(t1.wait(), 0);
+    EXPECT_TRUE(bitwise_equal(c1, big.ref_dag));
+    EXPECT_EQ(t2.wait(), 0);
+    EXPECT_TRUE(bitwise_equal(c2, small.ref_dag));
+    if (full) return;
+  }
 }
 
 TEST(Serve, RejectPolicyOnFullQueue) {
   with_full_queue(
       serve::OverflowPolicy::reject,
-      [](serve::Queue& q, Problem<double>&, Problem<double>& small,
-         serve::Ticket&, serve::Ticket& t2) {
-        if (t2.done()) GTEST_SKIP() << "worker outran the submitter";
-        MatrixT<double> c3 = small.fresh_c();
-        serve::Ticket t3 = q.submit(small.request(c3));
+      [](serve::Queue& q, Problem<double>& small, MatrixT<double>& c3,
+         serve::Ticket& t3) {
         EXPECT_EQ(t3.wait(), STRASSEN_INFO_REJECTED);
         EXPECT_EQ(t3.status(), serve::RequestStatus::rejected);
         EXPECT_TRUE(bitwise_equal(c3, small.c0));
@@ -377,11 +577,8 @@ TEST(Serve, RejectPolicyOnFullQueue) {
 TEST(Serve, ShedPolicyOnFullQueue) {
   with_full_queue(
       serve::OverflowPolicy::shed,
-      [](serve::Queue& q, Problem<double>&, Problem<double>& small,
-         serve::Ticket&, serve::Ticket& t2) {
-        if (t2.done()) GTEST_SKIP() << "worker outran the submitter";
-        MatrixT<double> c3 = small.fresh_c();
-        serve::Ticket t3 = q.submit(small.request(c3));
+      [](serve::Queue& q, Problem<double>& small, MatrixT<double>& c3,
+         serve::Ticket& t3) {
         EXPECT_TRUE(t3.done()) << "sheds complete inline on the submitter";
         EXPECT_EQ(t3.wait(), 0);
         EXPECT_TRUE(t3.degraded());
@@ -766,6 +963,30 @@ TEST(ServeCAbi, SubmitWaitRoundtrip) {
   EXPECT_LT(max_abs_diff(c.view(), want.view()), 1e-10);
   EXPECT_EQ(strassen_dgefmm_wait(h), STRASSEN_INFO_BAD_HANDLE)
       << "wait frees the handle";
+}
+
+// A default C-ABI submission takes the default serving route -- one pooled
+// GEMM without a policy -- and matches the synchronous C ABI bitwise, at an
+// order the paper's cutoff would have recursed on.
+TEST(ServeCAbi, SubmitTakesTheDefaultRoute) {
+  core::clear_tuned_policy<double>();
+  const index_t n = 256;
+  Rng rng(404);
+  Matrix a = random_matrix(n, n, rng);
+  Matrix b = random_matrix(n, n, rng);
+  Matrix c = random_matrix(n, n, rng);
+  Matrix want(n, n);
+  copy(c.view(), want.view());
+  ASSERT_EQ(strassen_dgefmm('N', 'N', n, n, n, 0.75, a.data(), a.ld(),
+                            b.data(), b.ld(), 1.5, want.data(), want.ld()),
+            0);
+  std::int64_t h = 0;
+  ASSERT_EQ(strassen_dgefmm_submit('N', 'N', n, n, n, 0.75, a.data(), a.ld(),
+                                   b.data(), b.ld(), 1.5, c.data(), c.ld(),
+                                   /*deadline_ms=*/0, &h),
+            0);
+  EXPECT_EQ(strassen_dgefmm_wait(h), 0);
+  EXPECT_TRUE(bitwise_equal(c, want));
 }
 
 TEST(ServeCAbi, FloatSubmitWaitRoundtrip) {
