@@ -66,14 +66,9 @@ inline void banner(const std::string& what, const std::string& paper_ref) {
     std::cout << gt;
   }
   std::cout << "  [STRASSEN_GEMM_THREADS=N, 1 = serial]\n";
-  const char* pd = std::getenv("STRASSEN_PAR_DEPTH");
-  const char* pl = std::getenv("STRASSEN_PAR_LANES");
   std::cout << "scheduler: pool=" << parallel::global_pool().size()
             << " workers, bench threads=" << bench_threads()
-            << " [STRASSEN_BENCH_THREADS=N], par_depth="
-            << (pd != nullptr && *pd != '\0' ? pd : "auto") << ", lanes="
-            << (pl != nullptr && *pl != '\0' ? pl : "auto")
-            << "  [STRASSEN_PAR_DEPTH=1|2, STRASSEN_PAR_LANES=N]\n";
+            << "  [STRASSEN_BENCH_THREADS=N]\n";
   std::cout << "mode: " << (full_mode() ? "FULL (paper-scale)" : "smoke")
             << "  [STRASSEN_BENCH_FULL=1 for paper-scale sizes]\n\n";
 }

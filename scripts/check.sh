@@ -9,8 +9,7 @@
 # forced onto the scalar micro-kernel and onto the best SIMD one
 # (STRASSEN_KERNEL, resolved at process start), under release and asan --
 # the only way the env-resolved dispatch path itself gets exercised.
-# The parallel and serving matrices sweep the scheduler and admission env
-# knobs the same way.
+# The serving matrix sweeps the admission env knobs the same way.
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -80,24 +79,6 @@ for preset in release asan; do
     echo "== kernel matrix: ${preset} / STRASSEN_KERNEL=${kern} =="
     STRASSEN_KERNEL="${kern}" ctest --preset "${preset}" -j "${jobs}" \
       -L "${kernel_suites}" "$@"
-  done
-done
-
-# Parallel-scheduler matrix: the DAG executor's suites re-run with the
-# scheduler knobs pinned by environment, under release and (for the data
-# races a wrong schedule would introduce) tsan. Depth x lanes covers both
-# graph shapes, the single-lane degenerate case, and lanes > pool workers
-# (stealing with contention). The tests that pin cfg fields explicitly are
-# env-immune; this sweep exercises the env-resolution paths everywhere
-# else.
-parallel_suites='test_parallel|test_faults|test_sgefmm'
-for preset in release tsan; do
-  for depth in 1 2; do
-    for lanes in 1 7; do
-      echo "== parallel matrix: ${preset} / STRASSEN_PAR_DEPTH=${depth} STRASSEN_PAR_LANES=${lanes} =="
-      STRASSEN_PAR_DEPTH="${depth}" STRASSEN_PAR_LANES="${lanes}" \
-        ctest --preset "${preset}" -j "${jobs}" -L "${parallel_suites}" "$@"
-    done
   done
 done
 

@@ -188,30 +188,23 @@ count_t workspace_floats(index_t m, index_t n, index_t k, float beta,
 }
 
 count_t parallel_workspace_doubles(index_t m, index_t n, index_t k,
-                                   const DgefmmConfig& cfg, int par_depth,
-                                   int lanes) {
-  // Mirrors parallel/task_dag.cpp exactly: the even core splits into a
-  // 2^par_depth grid (the planner only selects par_depth == 2 when the
-  // half-dimensions are still even), every product node of the 7^par_depth
-  // schedule owns one (mb x nb) temporary, and each scheduler lane owns one
-  // leaf sub-arena sized for the deepest fused_product it can run.
-  const int depth = std::clamp(par_depth, 1, 2);
-  const index_t mb = (m & ~index_t{1}) >> depth;
-  const index_t kb = (k & ~index_t{1}) >> depth;
-  const index_t nb = (n & ~index_t{1}) >> depth;
+                                   const DgefmmConfig& cfg, int lanes) {
+  // Mirrors parallel/task_dag.cpp exactly: the even core splits into the
+  // 2x2 quadrant grid, each of the seven product nodes owns one (mb x nb)
+  // temporary, and each scheduler lane owns one leaf sub-arena sized for
+  // the deepest fused_product it can run.
+  const index_t mb = (m & ~index_t{1}) >> 1;
+  const index_t kb = (k & ~index_t{1}) >> 1;
+  const index_t nb = (n & ~index_t{1}) >> 1;
   if (mb == 0 || kb == 0 || nb == 0) return 0;
-  const count_t products = depth == 2 ? 49 : 7;
-  const count_t lane_ws =
-      detail::fused_product_workspace(mb, kb, nb, cfg, depth);
-  return products * (static_cast<count_t>(mb) * nb) +
+  const count_t lane_ws = detail::fused_product_workspace(mb, kb, nb, cfg, 1);
+  return 7 * (static_cast<count_t>(mb) * nb) +
          static_cast<count_t>(std::max(lanes, 1)) * lane_ws;
 }
 
 count_t parallel_workspace_floats(index_t m, index_t n, index_t k,
-                                  const SgefmmConfig& cfg, int par_depth,
-                                  int lanes) {
-  return parallel_workspace_doubles(m, n, k, sizing_config(cfg), par_depth,
-                                    lanes);
+                                  const SgefmmConfig& cfg, int lanes) {
+  return parallel_workspace_doubles(m, n, k, sizing_config(cfg), lanes);
 }
 
 double bound_strassen1_beta0(index_t m, index_t k, index_t n) {

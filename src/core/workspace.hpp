@@ -41,21 +41,21 @@ namespace strassen::core {
 
 /// Exact number of workspace doubles the task-DAG parallel driver carves
 /// from its single up-front reservation for C(m x n) = alpha*A(m x k)*
-/// B(k x n) + beta*C at `par_depth` DAG levels (1 or 2) with `lanes`
-/// scheduler lanes: one (mb x nb) product temporary per product node of
-/// the 7^par_depth grid, plus one worker-local leaf sub-arena per lane.
-/// The parallel determinism tests assert predicted == measured.
+/// B(k x n) + beta*C with `lanes` scheduler lanes: one (m/2 x n/2) product
+/// temporary per product node of the one-level graph, plus one
+/// worker-local leaf sub-arena per lane. The parallel determinism tests
+/// assert predicted == measured.
 [[nodiscard]] count_t parallel_workspace_doubles(index_t m, index_t n,
                                                  index_t k,
                                                  const DgefmmConfig& cfg,
-                                                 int par_depth, int lanes);
+                                                 int lanes);
 
 /// Float twin of parallel_workspace_doubles (same element count; see
 /// sizing_config).
 [[nodiscard]] count_t parallel_workspace_floats(index_t m, index_t n,
                                                 index_t k,
                                                 const SgefmmConfig& cfg,
-                                                int par_depth, int lanes);
+                                                int lanes);
 
 /// Paper bound for STRASSEN1 with beta == 0: (m*max(k,n) + kn)/3.
 double bound_strassen1_beta0(index_t m, index_t k, index_t n);

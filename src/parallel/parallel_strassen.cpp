@@ -36,7 +36,7 @@ int gefmm_parallel_t(Trans transa, Trans transb, index_t m, index_t n,
                      index_t k, T alpha, const T* a, index_t lda, const T* b,
                      index_t ldb, T beta, T* c, index_t ldc,
                      const ParallelGefmmConfigT<T>& cfg) {
-  if (cfg.use_tuned) {
+  if (cfg.cutoff.kind == core::CutoffKind::tuned) {
     // The one tuned route, under this call's thread budget. Only the DAG
     // path stays in this driver (with the tuned cutoffs and the fused
     // leaves the crossover was measured against); every other path --
@@ -51,7 +51,6 @@ int gefmm_parallel_t(Trans transa, Trans transb, index_t m, index_t n,
     }
     if (path == core::TunedPath::dag) {
       ParallelGefmmConfigT<T> eff = cfg;
-      eff.use_tuned = false;
       eff.cutoff = serial.cutoff;
       eff.scheme = serial.scheme;
       return gefmm_parallel_t<T>(transa, transb, m, n, k, alpha, a, lda, b,

@@ -1,11 +1,11 @@
-// Task-parallel top level for DGEFMM/SGEFMM: the top one or two recursion
-// levels of the fused Winograd schedule run as a dependency-aware task DAG
+// Task-parallel top level for DGEFMM/SGEFMM: the top recursion level of
+// the fused Winograd schedule runs as a dependency-aware task DAG
 // (parallel/task_dag.hpp) on the shared pool's work-stealing lanes, so
 // combine steps overlap with still-running products instead of waiting at
 // the old seven-way barrier. Below the DAG everything is the serial
 // library.
 //
-// This trades the serial code's memory economy for parallelism (7^L
+// This trades the serial code's memory economy for parallelism (seven
 // product temporaries at the top) -- the classic Strassen parallelization
 // the paper defers to future work.
 #pragma once
@@ -21,30 +21,26 @@ namespace strassen::parallel {
 
 template <class T>
 struct ParallelGefmmConfigT {
+  /// Recursion cutoff. CutoffCriterion::tuned() takes the tuned route
+  /// (core::resolve_tuned) under the budget blas::gemm_thread_budget(
+  /// threads): when the measured DAG crossover says the task DAG wins at
+  /// this shape the call runs here with the tuned eq.-15 cutoffs and fused
+  /// leaves; every other path runs through the serial driver under that
+  /// budget. A missing, kernel-stale or other-budget policy resolves to
+  /// one GEMM.
   core::CutoffCriterion cutoff =
       core::CutoffCriterion::paper_default(blas::active_machine());
-  /// Core budget the pre-flight planner splits between DAG lanes and each
-  /// product leaf's intra-GEMM fan-out (0 = the shared pool's size). Not
-  /// clamped to the pool, so oversized budgets exercise wide-DAG
-  /// scheduling even on small machines.
+  /// Core budget the pre-flight planner splits between DAG lanes
+  /// (min(budget, 7)) and each product leaf's intra-GEMM fan-out
+  /// (max(1, budget / lanes)); 0 = the shared pool's size. Not clamped to
+  /// the pool, so oversized budgets exercise wide-DAG scheduling even on
+  /// small machines.
   std::size_t threads = 0;
   /// Schedule run inside each product task. Scheme::fused keeps the fused
   /// packed-GEMM path below the DAG leaves as well; every scheme's top
-  /// level(s) run as fused products (no S/T operand temporaries -- sums
-  /// form while packing).
+  /// level runs as fused products (no S/T operand temporaries -- sums form
+  /// while packing).
   core::Scheme scheme = core::Scheme::automatic;
-  /// DAG depth: 1 = 7 products / 4 combines, 2 = 49 / 16. 0 = resolve from
-  /// STRASSEN_PAR_DEPTH, then automatically (2 when the budget exceeds 7
-  /// and the quarter dimensions exist). Clamped to [1, 2].
-  int par_depth = 0;
-  /// Scheduler lanes (maximum DAG nodes in flight). 0 = resolve from
-  /// STRASSEN_PAR_LANES, then min(budget, products).
-  int lanes = 0;
-  /// Intra-GEMM fan-out inside each product leaf. -1 = moldable split
-  /// max(1, budget / lanes); 0 = the legacy whole-pool gemm_threads
-  /// setting (each leaf claims the full pool -- the oversubscribing
-  /// pre-DAG behaviour, kept for baseline comparison).
-  int leaf_gemm_threads = -1;
   /// Optional caller-provided workspace for the single up-front
   /// reservation (product temporaries + per-lane sub-arenas). When null an
   /// exactly-sized arena is allocated internally; reusing one across calls
@@ -61,13 +57,6 @@ struct ParallelGefmmConfigT {
   /// the scheduler's own counters (steals, dag_nodes, dag_lanes) and the
   /// driver's fallback/fault counters.
   core::DgefmmStats* stats = nullptr;
-  /// Take the tuned route (core::resolve_tuned) under the budget
-  /// blas::gemm_thread_budget(threads): when the measured DAG crossover
-  /// says the task-DAG wins at this shape the call runs here with the
-  /// tuned eq.-15 cutoffs; every other path runs through the serial driver
-  /// under that budget. A missing, kernel-stale or other-budget policy
-  /// resolves to one GEMM.
-  bool use_tuned = false;
   /// Optional cooperative cancellation token (the serving front-end's
   /// per-request token). Checked at every task-DAG node boundary through a
   /// single-transition decision: cancellation is honored -- the call
@@ -83,12 +72,11 @@ struct ParallelGefmmConfigT {
 using ParallelDgefmmConfig = ParallelGefmmConfigT<double>;
 using ParallelSgefmmConfig = ParallelGefmmConfigT<float>;
 
-/// C <- alpha * op(A) * op(B) + beta * C with the top recursion level(s)
+/// C <- alpha * op(A) * op(B) + beta * C with the top recursion level
 /// evaluated as a work-stealing task DAG. The result is bitwise identical
-/// for every thread count, lane count, and steal order (combines apply
-/// their terms in the verified schedule's fixed order). Falls back to the
-/// serial dgefmm when the cutoff says not to recurse. Returns a BLAS-style
-/// info code.
+/// for every thread count and steal order (combines apply their terms in
+/// the verified schedule's fixed order). Falls back to the serial dgefmm
+/// when the cutoff says not to recurse. Returns a BLAS-style info code.
 int dgefmm_parallel(Trans transa, Trans transb, index_t m, index_t n,
                     index_t k, double alpha, const double* a, index_t lda,
                     const double* b, index_t ldb, double beta, double* c,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <type_traits>
 #include <vector>
 
@@ -24,23 +23,10 @@ namespace strassen::parallel {
 
 namespace {
 
-int env_int(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 0) return 0;
-  return static_cast<int>(std::min<long>(v, 4096));
-}
-
-// Depth 2 needs the even core to split twice: both halves of every even
-// dimension must themselves be even and nonzero.
-bool depth2_feasible(index_t m, index_t k, index_t n) {
-  const index_t m2 = (m & ~index_t{1}) / 2;
-  const index_t k2 = (k & ~index_t{1}) / 2;
-  const index_t n2 = (n & ~index_t{1}) / 2;
-  return m2 >= 2 && k2 >= 2 && n2 >= 2 && ((m2 | k2 | n2) & 1) == 0;
-}
+// The one graph shape: one Winograd level, 7 product nodes feeding 4
+// combine nodes over the 2x2 quadrant grid.
+constexpr int kProducts = verify::kFusedL1Products;
+constexpr int kCombines = 4;
 
 // Cancellation decision states: the run transitions kUndecided ->
 // {kCommitted, kCanceled} exactly once (see enter_node below).
@@ -56,7 +42,6 @@ struct Shared {
   T alpha = T(1);
   T beta = T(0);
   int leaf_gemm_threads = 1;
-  int depth = 1;
   const std::atomic<bool>* cancel = nullptr;  // request token (may be null)
   std::atomic<int> decision{kUndecided};      // single-transition commit
 };
@@ -123,7 +108,7 @@ void product_body(void* arg, std::size_t lane) {
   core::detail::CtxT<T> ctx{sh.child, &arena, st};
   ArenaScopeT scope(arena);
   core::detail::fused_product(t->a, t->b, t->out, sh.alpha, T(0), ctx,
-                              sh.depth);
+                              /*depth=*/1);
 }
 
 // One combine node: dst <- beta*dst + sum_i g_i * M_{p_i}, applied in the
@@ -169,42 +154,24 @@ DagPlan plan_dag(index_t m, index_t n, index_t k,
   // multi-lane scheduling paths; the pool simply runs them with fewer
   // threads.
   const int pool = static_cast<int>(global_pool().size());
-  int budget =
-      cfg.threads != 0 ? static_cast<int>(cfg.threads) : std::max(pool, 1);
-  budget = std::max(budget, 1);
+  const int budget =
+      std::max(cfg.threads != 0 ? static_cast<int>(cfg.threads) : pool, 1);
 
-  int depth = cfg.par_depth != 0 ? cfg.par_depth
-                                 : env_int("STRASSEN_PAR_DEPTH");
-  if (depth == 0) depth = budget > 7 ? 2 : 1;
-  depth = std::clamp(depth, 1, 2);
-  if (depth == 2 && !depth2_feasible(m, k, n)) depth = 1;
-  plan.par_depth = depth;
-  plan.products = depth == 2 ? 49 : 7;
-  plan.combines = depth == 2 ? 16 : 4;
-
-  int lanes = cfg.lanes != 0 ? cfg.lanes : env_int("STRASSEN_PAR_LANES");
-  if (lanes == 0) lanes = std::min(budget, plan.products);
-  plan.lanes = std::clamp(lanes, 1, plan.products);
-
-  // Moldable split: whatever the lanes do not use goes to each product
-  // leaf's intra-GEMM fan-out, so lanes * leaf_gemm_threads <= budget and
-  // the two levels of parallelism never oversubscribe each other. An
-  // explicit cfg.leaf_gemm_threads overrides (0 = the legacy whole-pool
-  // gemm_threads setting, for baseline comparisons).
-  plan.leaf_gemm_threads = cfg.leaf_gemm_threads >= 0
-                               ? cfg.leaf_gemm_threads
-                               : std::max(1, budget / plan.lanes);
+  // Moldable split: at most one lane per product node, and whatever the
+  // lanes do not use goes to each product leaf's intra-GEMM fan-out, so
+  // lanes * leaf_gemm_threads <= budget and the two levels of parallelism
+  // never oversubscribe each other.
+  plan.lanes = std::min(budget, kProducts);
+  plan.leaf_gemm_threads = std::max(1, budget / plan.lanes);
 
   core::GefmmConfigT<T> child;
   child.cutoff = cfg.cutoff;
   child.scheme = cfg.scheme;
   if constexpr (std::is_same_v<T, float>) {
     plan.workspace = core::parallel_workspace_floats(m, n, k, child,
-                                                     plan.par_depth,
                                                      plan.lanes);
   } else {
     plan.workspace = core::parallel_workspace_doubles(m, n, k, child,
-                                                      plan.par_depth,
                                                       plan.lanes);
   }
   return plan;
@@ -216,16 +183,11 @@ void run_task_dag(Trans transa, Trans transb, index_t m, index_t n,
                   index_t ldb, T beta, T* c, index_t ldc,
                   const ParallelGefmmConfigT<T>& cfg, const DagPlan& plan,
                   ArenaT<T>& arena) {
-  const int L = plan.par_depth;
-  const int grid = 1 << L;
-  const int np = plan.products;
-  const int nb = plan.combines;
-  const verify::FProduct* table =
-      L == 2 ? verify::kFusedL2.p : verify::kFusedL1;
-  const verify::DagTerm* dag_terms =
-      L == 2 ? verify::kDagL2.terms : verify::kDagL1.terms;
-  const int* term_begin =
-      L == 2 ? verify::kDagL2.term_begin : verify::kDagL1.term_begin;
+  constexpr int np = kProducts;
+  constexpr int nb = kCombines;
+  const verify::FProduct* table = verify::kFusedL1;
+  const verify::DagTerm* dag_terms = verify::kDagL1.terms;
+  const int* term_begin = verify::kDagL1.term_begin;
 
   const BasicView<const T> av =
       make_op_view(transa, a, is_trans(transa) ? k : m,
@@ -237,7 +199,7 @@ void run_task_dag(Trans transa, Trans transb, index_t m, index_t n,
 
   const index_t me = m & ~index_t{1}, ke = k & ~index_t{1},
                 ne = n & ~index_t{1};
-  const index_t mb = me / grid, kb = ke / grid, nbk = ne / grid;
+  const index_t mb = me / 2, kb = ke / 2, nbk = ne / 2;
   BasicView<const T> ae = av.block(0, 0, me, ke);
   BasicView<const T> be = bv.block(0, 0, ke, ne);
   BasicView<T> ce = cv.block(0, 0, me, ne);
@@ -263,7 +225,7 @@ void run_task_dag(Trans transa, Trans transb, index_t m, index_t n,
     prod_views.push_back(core::detail::arena_matrix(arena, mb, nbk));
   }
   const count_t lane_ws =
-      core::detail::fused_product_workspace(mb, kb, nbk, child, L);
+      core::detail::fused_product_workspace(mb, kb, nbk, child, 1);
   std::vector<ArenaT<T>> lane_arenas;
   std::vector<T*> lane_bases;
   lane_arenas.reserve(static_cast<std::size_t>(plan.lanes));
@@ -280,7 +242,7 @@ void run_task_dag(Trans transa, Trans transb, index_t m, index_t n,
   // first writes it; without this, the calling thread's carving pass above
   // would pull the whole parent reservation onto its own node and every
   // remote lane would stream its leaf workspace across the interconnect.
-  // Lane 0 executes on the calling thread; lanes 1..L-1 are claimed as
+  // Lane 0 executes on the calling thread; the other lanes are claimed as
   // pool tasks, so they are touched round-robin across the workers -- the
   // best static guess under work stealing, and exactly right when lanes
   // map 1:1 onto workers. Writing T(0) into arena storage is safe (every
@@ -337,11 +299,10 @@ void run_task_dag(Trans transa, Trans transb, index_t m, index_t n,
   sh.alpha = alpha;
   sh.beta = beta;
   sh.leaf_gemm_threads = plan.leaf_gemm_threads;
-  sh.depth = L;
   sh.cancel = cfg.cancel;
 
   // Product nodes: operand combinations read straight off the verified
-  // table, block q at (row, col) = (q / grid, q % grid) of the 2^L grid.
+  // table, block q at (row, col) = (q / 2, q % 2) of the quadrant grid.
   std::vector<ProductTask<T>> ptasks(static_cast<std::size_t>(np));
   for (int p = 0; p < np; ++p) {
     ProductTask<T>& t = ptasks[static_cast<std::size_t>(p)];
@@ -349,12 +310,12 @@ void run_task_dag(Trans transa, Trans transb, index_t m, index_t n,
     t.out = prod_views[static_cast<std::size_t>(p)];
     for (int e = 0; e < table[p].na; ++e) {
       const int q = table[p].a[e].q;
-      t.a.add(ae.block((q / grid) * mb, (q % grid) * kb, mb, kb),
+      t.a.add(ae.block((q / 2) * mb, (q % 2) * kb, mb, kb),
               static_cast<T>(table[p].a[e].g));
     }
     for (int e = 0; e < table[p].nb; ++e) {
       const int q = table[p].b[e].q;
-      t.b.add(be.block((q / grid) * kb, (q % grid) * nbk, kb, nbk),
+      t.b.add(be.block((q / 2) * kb, (q % 2) * nbk, kb, nbk),
               static_cast<T>(table[p].b[e].g));
     }
   }
@@ -366,7 +327,7 @@ void run_task_dag(Trans transa, Trans transb, index_t m, index_t n,
     t.sh = &sh;
     t.terms = dag_terms + term_begin[blk];
     t.nterms = term_begin[blk + 1] - term_begin[blk];
-    t.dst = ce.block((blk / grid) * mb, (blk % grid) * nbk, mb, nbk);
+    t.dst = ce.block((blk / 2) * mb, (blk % 2) * nbk, mb, nbk);
   }
 
   // Successor lists: product p's successors are the combine nodes whose
@@ -433,9 +394,8 @@ void run_task_dag(Trans transa, Trans transb, index_t m, index_t n,
       st.faults_injected = 0;
       cfg.stats->merge_from(st);
     }
-    // The DAG's top L levels are Strassen recursion nodes themselves:
-    // one at depth 1; one plus seven inner nodes at depth 2.
-    cfg.stats->strassen_levels += L == 2 ? 8 : 1;
+    // The DAG's top level is a Strassen recursion node itself.
+    cfg.stats->strassen_levels += 1;
     cfg.stats->peel_fixups += static_cast<count_t>(fixups);
     cfg.stats->steals += static_cast<count_t>(run.steals());
     cfg.stats->dag_nodes += static_cast<count_t>(np + nb);
@@ -445,7 +405,7 @@ void run_task_dag(Trans transa, Trans transb, index_t m, index_t n,
     if (plan.leaf_gemm_threads > cfg.stats->gemm_threads) {
       cfg.stats->gemm_threads = plan.leaf_gemm_threads;
     }
-    if (L > cfg.stats->max_depth) cfg.stats->max_depth = L;
+    if (cfg.stats->max_depth < 1) cfg.stats->max_depth = 1;
     if (arena.peak() > cfg.stats->peak_workspace) {
       cfg.stats->peak_workspace = arena.peak();
     }

@@ -1,4 +1,4 @@
-// Depth-L task-DAG scheduler for the parallel Winograd top level.
+// Task-DAG scheduler for the parallel Winograd top level.
 //
 // The flat seven-task fan-out (PR history: the original parallel driver)
 // ended every top level with a full barrier: all seven products had to
@@ -7,17 +7,18 @@
 // machine 7x at the seam. This module replaces that with a dependency-aware
 // executor over the verified schedule IR:
 //
-//  * plan_dag() is the moldable pre-flight planner. It expands the fused
-//    product table to `par_depth` levels (7 product nodes and 4 combine
-//    nodes at depth 1; 49 and 16 at depth 2), splits the core budget
-//    between DAG width (`lanes`) and per-leaf intra-GEMM fan-out
-//    (`leaf_gemm_threads`) so that lanes * leaf_gemm_threads never exceeds
-//    the budget, and prices the single up-front workspace reservation
-//    (core::parallel_workspace_doubles/_floats) the run will carve from.
+//  * plan_dag() is the moldable pre-flight planner. The graph has one
+//    shape -- one Winograd level, 7 product nodes and 4 combine nodes --
+//    and the planner splits the core budget between DAG width (`lanes` =
+//    min(budget, 7)) and per-leaf intra-GEMM fan-out (`leaf_gemm_threads`
+//    = max(1, budget / lanes)), so lanes * leaf_gemm_threads never
+//    exceeds the budget, then prices the single up-front workspace
+//    reservation (core::parallel_workspace_doubles/_floats) the run will
+//    carve from.
 //
 //  * run_task_dag() builds the bipartite product->combine DAG from
-//    verify::kDagL1/kDagL2 (derived at compile time from the proved tables
-//    and static_asserted acyclic and covering), carves every product
+//    verify::kDagL1 (derived at compile time from the proved table and
+//    static_asserted acyclic and covering), carves every product
 //    temporary and one borrowed worker-local sub-arena per lane out of the
 //    caller's arena, and executes the graph on the shared pool's
 //    work-stealing lanes (ThreadPool::run_dag): a combine whose products
@@ -49,21 +50,16 @@ struct ParallelGefmmConfigT;
 
 /// Resolved pre-flight plan for one dgefmm_parallel/sgefmm_parallel call.
 struct DagPlan {
-  int par_depth = 1;         ///< schedule levels expanded into the DAG (1-2)
   int lanes = 1;             ///< scheduler lanes (max concurrent DAG nodes)
-  int leaf_gemm_threads = 1; ///< intra-GEMM fan-out inside each product
-                             ///< node (0 = legacy whole-pool setting)
-  int products = 7;          ///< product nodes: 7^par_depth
-  int combines = 4;          ///< combine nodes: 4^par_depth
+  int leaf_gemm_threads = 1; ///< intra-GEMM fan-out inside each product node
   count_t workspace = 0;     ///< elements of the single up-front reservation
 };
 
 /// Computes the moldable core allotment and workspace price for the given
-/// problem. Honors cfg.par_depth / cfg.lanes / cfg.leaf_gemm_threads when
-/// set, then the STRASSEN_PAR_DEPTH / STRASSEN_PAR_LANES environment
-/// knobs, and otherwise splits cfg.threads (0 = pool size) between lanes
-/// and per-leaf fan-out. Depth 2 is only selected when the quarter
-/// dimensions exist (the even core must split twice).
+/// problem: a pure function of the shape, cfg.cutoff, cfg.scheme,
+/// cfg.threads and the shared pool's size. The budget is cfg.threads (0 =
+/// pool size); lanes = min(budget, 7) and each product leaf fans out over
+/// max(1, budget / lanes) GEMM threads.
 template <class T>
 [[nodiscard]] DagPlan plan_dag(index_t m, index_t n, index_t k,
                                const ParallelGefmmConfigT<T>& cfg);

@@ -57,9 +57,8 @@ namespace detail {
 template <class T>
 struct RequestStateT {
   GemmRequestT<T> req;
-  std::size_t need = 0;    // exact workspace price of the chosen path
-  bool use_dag = false;    // task-DAG driver vs. serial driver
-  parallel::DagPlan plan;  // pinned moldable plan (valid when use_dag)
+  std::size_t need = 0;  // exact workspace price of the chosen path
+  bool use_dag = false;  // task-DAG driver vs. serial driver
   // The route resolved at admission: explicit cutoff, scheme and fused
   // levels that the driver runs as priced (never the tuned criterion).
   core::GefmmConfigT<T> route;
@@ -415,8 +414,8 @@ class QueueImplT {
       parallel::ParallelGefmmConfigT<T> cfg;
       cfg.cutoff = st.route.cutoff;
       cfg.scheme = st.route.scheme;
-      st.plan = parallel::plan_dag<T>(r.m, r.n, r.k, cfg);
-      st.need = static_cast<std::size_t>(st.plan.workspace);
+      st.need = static_cast<std::size_t>(
+          parallel::plan_dag<T>(r.m, r.n, r.k, cfg).workspace);
       return;
     }
     count_t need;
@@ -500,10 +499,11 @@ class QueueImplT {
 
 // One admitted run: builds the driver configuration over the borrowed
 // lease arena and calls the vertical the admission pricing assumed, with
-// the route resolved there. The plan's moldable fields are pinned so the
-// driver re-derives exactly the priced reservation; the cancel token rides
-// into the task DAG, which checks it at every node boundary. A tuned route
-// runs under the GEMM budget it was resolved for.
+// the route resolved there. plan_dag is a pure function of the shape, the
+// route and the never-rebuilt pool's size, so the driver re-derives exactly
+// the priced reservation; the cancel token rides into the task DAG, which
+// checks it at every node boundary. A tuned route runs under the GEMM
+// budget it was resolved for.
 template <class T>
 int dispatch_request(const RequestStateT<T>& st, ArenaT<T>& workspace,
                      core::DgefmmStats* run_stats,
@@ -516,9 +516,6 @@ int dispatch_request(const RequestStateT<T>& st, ArenaT<T>& workspace,
     parallel::ParallelGefmmConfigT<T> cfg;
     cfg.cutoff = st.route.cutoff;
     cfg.scheme = st.route.scheme;
-    cfg.par_depth = st.plan.par_depth;
-    cfg.lanes = st.plan.lanes;
-    cfg.leaf_gemm_threads = st.plan.leaf_gemm_threads;
     cfg.workspace = &workspace;
     cfg.on_failure = req.on_failure;
     cfg.stats = run_stats;

@@ -10,7 +10,7 @@
 //  * Every request's route is resolved once, at admission, and the worker
 //    runs exactly that route. A default request takes the library's one
 //    tuned route (core::resolve_tuned, as strassen_dgefmm and
-//    dgefmm_parallel{use_tuned} do): one pooled GEMM without a tuned policy
+//    a tuned dgefmm_parallel do): one pooled GEMM without a tuned policy
 //    for the active kernel and thread budget, otherwise the schedule the
 //    policy picks, the task DAG included when prefer_parallel is set. A
 //    request that names a cutoff recurses on the task DAG or the serial

@@ -155,22 +155,6 @@ void ThreadPool::wait_batch(Batch& batch, bool help_functions) {
   }
 }
 
-void ThreadPool::enqueue_and_wait(Batch& batch, bool help_functions) {
-  link_batch(batch);
-  wait_batch(batch, help_functions);
-}
-
-void ThreadPool::run_batch(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  Batch batch;
-  batch.fns = tasks.data();
-  batch.count = tasks.size();
-  batch.remaining = tasks.size();
-  batch.nofail = faultinject::suspended();
-  enqueue_and_wait(batch, /*help_functions=*/true);
-  if (batch.first_error) std::rethrow_exception(batch.first_error);
-}
-
 void ThreadPool::run_batch_nofail(const RawTask* tasks, std::size_t count) {
   if (count == 0) return;
   Batch batch;
@@ -178,7 +162,8 @@ void ThreadPool::run_batch_nofail(const RawTask* tasks, std::size_t count) {
   batch.count = count;
   batch.remaining = count;
   batch.nofail = faultinject::suspended();
-  enqueue_and_wait(batch, /*help_functions=*/false);
+  link_batch(batch);
+  wait_batch(batch, /*help_functions=*/false);
   if (batch.first_error) std::rethrow_exception(batch.first_error);
 }
 

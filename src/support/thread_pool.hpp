@@ -4,9 +4,9 @@
 // The paper lists parallelism as future work (Section 5); this module is
 // the corresponding extension. It serves two very different callers:
 //
-//  * parallel_strassen / parallel_gemm submit batches of std::function
-//    tasks ("seven independent Strassen sub-products", "independent column
-//    panels") via run_batch;
+//  * the parallel Strassen top level (parallel/task_dag.cpp) runs its
+//    seven products and four combines as a work-stealing dependency DAG
+//    via run_dag, whose lanes are function tasks;
 //
 //  * the packed GEMM itself (blas/packed_loop.cpp) fans its ic macro loop
 //    out from *inside* the no-fail compute region, where nothing may
@@ -14,7 +14,7 @@
 //    function-pointer tasks and keeps all batch bookkeeping on the
 //    caller's stack, so submission performs no heap operation at all.
 //
-// Both entry points block until their batch drains, and the waiting thread
+// Both entry points block until their work drains, and the waiting thread
 // help-executes queued work meanwhile -- so a pool worker running a
 // Strassen product may submit a nested intra-GEMM batch without
 // deadlocking even on a single-worker pool. This file lives in support/
@@ -52,12 +52,6 @@ class ThreadPool {
   ~ThreadPool();
 
   std::size_t size() const { return workers_.size(); }
-
-  /// Runs all tasks and returns when every one has finished. Tasks must be
-  /// independent. Exceptions thrown by tasks are rethrown (the first one)
-  /// after the batch drains. While waiting, the calling thread
-  /// help-executes queued tasks of any kind.
-  void run_batch(std::vector<std::function<void()>> tasks);
 
   /// Runs tasks[0..count) and returns when every one has finished, without
   /// allocating: the batch state lives on this call's stack and the task
@@ -136,7 +130,6 @@ class ThreadPool {
     Batch* next_batch = nullptr;
   };
 
-  void enqueue_and_wait(Batch& batch, bool help_functions);
   void link_batch(Batch& batch);
   void wait_batch(Batch& batch, bool help_functions);
   Batch* claim_locked(bool raw_only, std::size_t* index);

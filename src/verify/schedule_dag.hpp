@@ -2,14 +2,13 @@
 // from the proved product tables in schedule_ir.hpp.
 //
 // The parallel executor (src/parallel/task_dag.cpp) does not hand-code its
-// task graph: it reads the same verify::kFusedL1 / verify::kFusedL2 tables
-// the serial fused schedule emits from, reshaped here into an explicit
-// bipartite DAG
+// task graph: it reads the same verify::kFusedL1 table the serial fused
+// schedule emits from, reshaped here into an explicit bipartite DAG
 //
 //     product node M_p  -->  combine node C_t   (one edge per c-term)
 //
-// with one product node per table entry (7 at depth 1, 49 at depth 2) and
-// one combine node per C block of the quadrant grid (4 and 16). A product
+// with one product node per table entry (7) and one combine node per C
+// block of the quadrant grid (4). A product
 // node owns its operand combinations -- the operand sums of the pebble
 // game are contracted into the product, because the packing-fused leaf
 // forms them while packing (or materializes them leaf-locally), so they
@@ -19,7 +18,7 @@
 // what makes the parallel result bitwise independent of thread count and
 // steal order.
 //
-// The static_asserts at the bottom prove, per table:
+// The static_asserts at the bottom prove:
 //   * coverage: every c-term of every product appears in exactly one
 //     combine list, with the table's coefficient, and nothing else does;
 //   * order: each combine list is strictly ascending in product index
@@ -76,7 +75,6 @@ constexpr ScheduleDag<NP, NB> build_dag(const FProduct* table) {
 }
 
 inline constexpr auto kDagL1 = build_dag<kFusedL1Products, 4>(kFusedL1);
-inline constexpr auto kDagL2 = build_dag<kFusedL2Products, 16>(kFusedL2.p);
 
 /// Coverage + coefficient fidelity: the DAG's combine lists are exactly the
 /// table's c-terms -- each (product, block) pair of the table appears once
@@ -190,24 +188,15 @@ constexpr bool order_is_linear_extension(const ScheduleDag<NP, NB>& d,
 }
 
 static_assert(dag_covers_table(kDagL1, kFusedL1),
-              "depth-1 task DAG does not match the proved L1 product table");
-static_assert(dag_covers_table(kDagL2, kFusedL2.p),
-              "depth-2 task DAG does not match the composed L2 table");
+              "task DAG does not match the proved L1 product table");
 static_assert(dag_is_acyclic(kDagL1),
-              "depth-1 task DAG must be acyclic with satisfiable deps");
-static_assert(dag_is_acyclic(kDagL2),
-              "depth-2 task DAG must be acyclic with satisfiable deps");
-static_assert(kDagL1.nterms == 12 && kDagL2.nterms == 144,
-              "fused c-term totals changed; re-derive the DAG invariants");
+              "task DAG must be acyclic with satisfiable deps");
+static_assert(kDagL1.nterms == 12,
+              "fused c-term total changed; re-derive the DAG invariants");
 static_assert(
     order_is_linear_extension(kDagL1,
                               ascending_order<kFusedL1Products, 4>()),
     "the fixed ascending combine order is not a linear extension of the "
-    "depth-1 DAG");
-static_assert(
-    order_is_linear_extension(kDagL2,
-                              ascending_order<kFusedL2Products, 16>()),
-    "the fixed ascending combine order is not a linear extension of the "
-    "depth-2 DAG");
+    "task DAG");
 
 }  // namespace strassen::verify

@@ -390,7 +390,7 @@ void serving_route_table() {
           parallel::plan_dag<T>(n, n, n, cfg).workspace);
       if (!rc.paper_cutoff) {
         cfg = parallel::ParallelGefmmConfigT<T>{};
-        cfg.use_tuned = true;
+        cfg.cutoff = core::CutoffCriterion::tuned();
       }
       ASSERT_EQ(parallel_gefmm<T>(n, alpha, a, b, beta, want, cfg), 0);
     } else {

@@ -462,7 +462,7 @@ TEST(TunedPolicy, HybridPathRunsClassicRecursionAndMatchesReference) {
 }
 
 TEST(TunedPolicy, ParallelEntryForwardsCallerArenaToSerialDelegation) {
-  // The parallel driver owns only the DAG branch of a use_tuned call;
+  // The parallel driver owns only the DAG branch of a tuned call;
   // every other path delegates to the serial driver. The delegation must
   // forward the caller's arena -- dropping it silently re-allocates the
   // whole recursion workspace on every call (the bug this test pins).
@@ -486,7 +486,7 @@ TEST(TunedPolicy, ParallelEntryForwardsCallerArenaToSerialDelegation) {
   Arena arena;
   core::DgefmmStats stats;
   parallel::ParallelDgefmmConfig cfg;
-  cfg.use_tuned = true;
+  cfg.cutoff = core::CutoffCriterion::tuned();
   cfg.workspace = &arena;
   cfg.stats = &stats;
   ASSERT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, s, s, s, 1.0,
@@ -717,7 +717,7 @@ TEST(TunedRoute, ParallelDriverKeysByTheGemmBudget) {
     fill(c.view(), 0.0);
     core::DgefmmStats stats;
     parallel::ParallelDgefmmConfig cfg;
-    cfg.use_tuned = true;
+    cfg.cutoff = core::CutoffCriterion::tuned();
     cfg.threads = threads;
     cfg.stats = &stats;
     EXPECT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, s, s, s, 1.0,
@@ -737,6 +737,51 @@ TEST(TunedRoute, ParallelDriverKeysByTheGemmBudget) {
   ASSERT_TRUE(tuning::install_criteria(banded_criteria(blas::kMaxGemmTasks)));
   EXPECT_EQ(run(blas::kMaxGemmTasks), "hybrid");
   EXPECT_EQ(run(4 * blas::kMaxGemmTasks), "hybrid");
+  core::clear_tuned_policy<double>();
+}
+
+// cutoff = tuned() on the parallel driver takes the tuned route, the DAG
+// a candidate: with a DAG band installed under the call's budget it runs
+// the task DAG with the policy's cutoff and fused leaves, bitwise equal to
+// naming that configuration explicitly.
+TEST(TunedRoute, ParallelDriverRoutesTheTunedCutoffToTheDag) {
+  core::clear_tuned_policy<double>();
+  tuning::TunedCriteria criteria = banded_criteria(4);
+  criteria.tau_dag = 40;
+  ASSERT_TRUE(tuning::install_criteria(criteria));
+  const index_t s = 96;
+  const double beta = 0.5;
+  Rng rng(216);
+  const Matrix a = random_matrix(s, s, rng);
+  const Matrix b = random_matrix(s, s, rng);
+  const Matrix c0 = random_matrix(s, s, rng);
+  Matrix tuned(s, s), explicit_dag(s, s);
+  copy(c0.view(), tuned.view());
+  copy(c0.view(), explicit_dag.view());
+
+  core::DgefmmStats stats;
+  parallel::ParallelDgefmmConfig cfg;
+  cfg.cutoff = core::CutoffCriterion::tuned();
+  cfg.threads = 4;
+  cfg.stats = &stats;
+  ASSERT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, s, s, s, 1.0,
+                                      a.data(), s, b.data(), s, beta,
+                                      tuned.data(), s, cfg),
+            0);
+  EXPECT_STREQ(stats.tuned_path, "dag");
+  EXPECT_GT(stats.dag_nodes, 0);
+
+  parallel::ParallelDgefmmConfig dag;
+  dag.cutoff = criteria.general;
+  dag.scheme = core::Scheme::fused;
+  dag.threads = 4;
+  ASSERT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, s, s, s, 1.0,
+                                      a.data(), s, b.data(), s, beta,
+                                      explicit_dag.data(), s, dag),
+            0);
+  EXPECT_EQ(std::memcmp(tuned.data(), explicit_dag.data(),
+                        sizeof(double) * static_cast<std::size_t>(s * s)),
+            0);
   core::clear_tuned_policy<double>();
 }
 

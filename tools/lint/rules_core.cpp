@@ -65,14 +65,13 @@ void rule_nofail_regions(const SourceFile& f, Sink& sink) {
   static const char* kFallible[] = {
       ".alloc(",  "->alloc(",  ".reserve(", "->reserve(",
       ".probe(",  "->probe(",  "ensure_pack_capacity(", "AlignedBuffer(",
-      // The pool-worker warm-up and the throwing batch entry points are
-      // acquisitions too: each may throw bad_alloc or TaskError. Only
-      // run_batch_nofail is sanctioned inside a no-fail region.
+      // The pool-worker warm-up is an acquisition too: it may throw
+      // bad_alloc or TaskError. Only run_batch_nofail is sanctioned inside
+      // a no-fail region.
       "ensure_pack_capacity_all_workers(", "run_on_each_worker(",
-      "run_batch(",
       // DagRun construction allocates every piece of scheduling state a
-      // run_dag call needs; like run_batch it belongs to the pre-flight,
-      // never inside a no-fail region (run_dag itself is sanctioned).
+      // run_dag call needs; it belongs to the pre-flight, never inside a
+      // no-fail region (run_dag itself is sanctioned).
       "DagRun(",
       // Serving-layer acquisitions: Queue submission allocates request
       // state and may block or throw per the overflow policy, and a pool
@@ -154,7 +153,7 @@ void rule_acquire_before_dispatch(const SourceFile& f, Sink& sink) {
       ".reserve(", "->reserve(",           ".probe(",       "->probe(",
       ".alloc(",   "->alloc(",             "AlignedBuffer(",
       "ensure_pack_capacity(",             "run_on_each_worker(",
-      "ensure_pack_capacity_all_workers(", "run_batch(",
+      "ensure_pack_capacity_all_workers(",
       "DagRun(",   ".submit(",             "->submit(",
       "try_acquire(",                      "advise_huge_pages(",
       "save_criteria_file(",               "load_criteria_file(",
