@@ -152,7 +152,7 @@ int main() {
               best_f32_name.c_str(), f32_over_f64);
 
   // ---- thread scaling of the packed macro loop ----------------------
-  // Same shape, best kernel, fanning the ic loop over the pool. Thread
+  // Same shape, best kernel, forking the packed GEMM over the pool. Thread
   // counts beyond the pool size still partition the work (the caller helps
   // execute) but cannot add cores, so the sweep stops at the pool size.
   std::vector<ScalePoint> scaling;

@@ -130,7 +130,8 @@ rm -f "${autotune_params}"
 # the same way -- `git archive HEAD` into a temp dir, configure perfbench/
 # there, run every workload traced and untraced (ctest -L bench_smoke).
 # Catches a committed tree that only builds with uncommitted or ignored
-# files present. The same tree then runs serve_mixed at full length.
+# files present. The same tree then runs both serving workloads at full
+# length.
 echo "== stage: benchmark smoke from a clean export =="
 export_dir="$(mktemp -d -t strassen_export.XXXXXX)"
 git archive HEAD | tar -x -C "${export_dir}"
@@ -144,10 +145,12 @@ ctest --test-dir "${export_dir}/.bench_build" -L bench_smoke \
 # 2-second smoke runs are too short to show a request refused at the low
 # or nominal rung; a whole 20-second rate ladder does, and run.py exits
 # nonzero on it (or on any failed ticket or wrong product).
-echo "== stage: full-length serve_mixed from the clean export =="
-for trace in 0 1; do
-  python3 "${export_dir}/perfbench/run.py" --workload serve_mixed --seed 1 \
-    --seconds 20 --trace "${trace}"
+echo "== stage: full-length serve_mixed and serve_skinny from the clean export =="
+for workload in serve_mixed serve_skinny; do
+  for trace in 0 1; do
+    python3 "${export_dir}/perfbench/run.py" --workload "${workload}" \
+      --seed 1 --seconds 20 --trace "${trace}"
+  done
 done
 rm -rf "${export_dir}"
 

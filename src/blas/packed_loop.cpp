@@ -14,6 +14,8 @@ namespace strassen::blas {
 
 static_assert(kGemmRowUnit % kMaxMRT<double> == 0 &&
               kGemmRowUnit % kMaxMRT<float> == 0);
+static_assert(kGemmColUnit % kMaxNRT<double> == 0 &&
+              kGemmColUnit % kMaxNRT<float> == 0);
 
 namespace {
 
@@ -42,8 +44,8 @@ std::size_t b_pack_elems(const GemmBlocking& bk) {
 // live here, inside buffers a plain GEMM call of the same blocking already
 // needs.
 //
-// Under intra-GEMM parallelism every task packs A into the scratch of the
-// thread that executes it, so the GEFMM pre-flight must warm the pool
+// Under intra-GEMM parallelism every task packs A and B into the scratch
+// of the thread that executes it, so the GEFMM pre-flight must warm the pool
 // workers too (ensure_pack_capacity_all_workers) before the no-fail region.
 template <class T>
 struct PackBuffersT {
@@ -92,94 +94,114 @@ int& gemm_threads_slot() {
   return setting;
 }
 
-// Everything one (jc, pc) iteration shares across its ic tasks. Lives on
+// Everything one packed_gemm_multi call shares across its tasks. Lives on
 // the submitting thread's stack; tasks read it while the submitter blocks
 // in run_batch_nofail.
 template <class T>
-struct PanelArgsT {
+struct GemmArgsT {
   const KernelInfoT<T>* kv;
   const GemmBlocking* bk;
+  index_t m, n, k;
   const PackCombT<T>* a;
-  const T* b_pack;
+  const PackCombT<T>* b;
   const WriteDestT<T>* dst;
   int ndst;
-  index_t jc, pc, nc, kc;
-  bool first_panel;
-  /// Prepacked op(A) image (null: pack fresh into thread scratch). The
-  /// closed-form block offsets need the full operand shape, carried here.
-  const T* a_img;
-  index_t m_total, k_total;
+  const PackedStreamsT<T>* streams;
 };
 
-// Runs the mc blocks covering rows [ic0, ic1) of the current (jc, pc)
-// iteration, packing each A block into the *executing* thread's scratch.
-// The range bounds are multiples of the active kernel's MR (except
-// ic1 == m), so distinct ranges touch disjoint C rows, and every C element
-// gets the same micro-kernel arithmetic (the same packed A row, B panel
-// and kc order) regardless of how the ranges are split.
+// One task: the block rows [i0, i1) x columns [j0, j1) of every C_d.
 template <class T>
-void run_ic_range(const PanelArgsT<T>& g, index_t ic0, index_t ic1) {
+struct GemmTaskT {
+  const GemmArgsT<T>* g;
+  index_t i0, i1, j0, j1;
+};
+
+// Runs the whole jc/pc/ic/jr/ir nest over one task's block, packing the A
+// blocks and B slivers it reads into the *executing* thread's scratch.
+// Blocks follow the call's mc/nc grid clipped to the task's range, so a
+// streamed image is addressed at its closed-form block offset plus whole
+// MR panels / NR slivers. Range bounds are multiples of the active
+// kernel's MR (rows) or NR (columns) except at m and n, so tasks write
+// disjoint C and every C element gets the same micro-kernel arithmetic
+// (the same packed A row, B column and kc order) however C is split.
+template <class T>
+void run_block(const GemmTaskT<T>& t) {
+  const GemmArgsT<T>& g = *t.g;
   const KernelInfoT<T>& kv = *g.kv;
   const GemmBlocking& bk = *g.bk;
-  T* a_pack = nullptr;
-  if (g.a_img == nullptr) {
-    PackBuffersT<T>& bufs = pack_buffers<T>();
-    bufs.ensure(a_pack_elems<T>(bk), 0);  // no-op on a warmed thread
-    a_pack = bufs.a_pack.data();
-  }
-
+  const T* a_img = g.streams->a;
+  const T* b_img = g.streams->b;
+  PackBuffersT<T>& bufs = pack_buffers<T>();
+  bufs.ensure(a_img != nullptr ? 0 : a_pack_elems<T>(bk),
+              b_img != nullptr ? 0 : b_pack_elems<T>(bk));  // warmed: no-op
   alignas(kBufferAlignment) T acc[kMaxMRT<T> * kMaxNRT<T>];
-  PackTermT<T> a_terms[kPackMaxTerms];
-  const index_t kc = g.kc;
-  const index_t nc = g.nc;
-  const index_t nc_panels = (nc + kv.nr - 1) / kv.nr;
-  for (index_t ic = ic0; ic < ic1; ic += bk.mc) {
-    const index_t mc = (ic1 - ic < bk.mc) ? (ic1 - ic) : bk.mc;
-    const T* a_block;
-    if (g.a_img != nullptr) {
-      a_block = g.a_img +
-                packed_a_offset(bk, kv.mr, g.m_total, g.k_total, ic, g.pc);
-    } else {
-      for (int s = 0; s < g.a->n; ++s) {
-        a_terms[s] = g.a->term[s];
-        a_terms[s].p += ic * g.a->term[s].rs + g.pc * g.a->term[s].cs;
-      }
-      kv.pack_a_comb(a_terms, g.a->n, mc, kc, a_pack);
-      a_block = a_pack;
-    }
-    const index_t mc_panels = (mc + kv.mr - 1) / kv.mr;
-    for (index_t jr = 0; jr < nc_panels; ++jr) {
-      const T* bp = g.b_pack + jr * (kv.nr * kc);
-      const index_t cols =
-          (nc - jr * kv.nr < kv.nr) ? (nc - jr * kv.nr) : kv.nr;
-      for (index_t ir = 0; ir < mc_panels; ++ir) {
-        const T* ap = a_block + ir * (kv.mr * kc);
-        const index_t rows =
-            (mc - ir * kv.mr < kv.mr) ? (mc - ir * kv.mr) : kv.mr;
-        kv.micro_kernel(kc, ap, bp, acc);
-        for (int d = 0; d < g.ndst; ++d) {
-          kv.write_tile(acc, rows, cols, g.dst[d].alpha,
-                        g.first_panel ? g.dst[d].beta : T(1),
-                        g.dst[d].c + (ic + ir * kv.mr) +
-                            (g.jc + jr * kv.nr) * g.dst[d].ldc,
-                        g.dst[d].ldc);
+  PackTermT<T> terms[kPackMaxTerms];
+
+  for (index_t jc = t.j0; jc < t.j1;) {
+    const index_t jg = jc - jc % bk.nc;  // first column of jc's nc block
+    const index_t jc_end = std::min(t.j1, jg + bk.nc);
+    const index_t nc = jc_end - jc;
+    const index_t nc_panels = (nc + kv.nr - 1) / kv.nr;
+    for (index_t pc = 0; pc < g.k; pc += bk.kc) {
+      const index_t kc = std::min(bk.kc, g.k - pc);
+      const bool first_panel = (pc == 0);
+      const T* b_block = b_img;
+      if (b_img != nullptr) {
+        b_block += packed_b_offset(bk, kv.nr, g.k, g.n, jg, pc) +
+                   (jc - jg) * kc;
+      } else {
+        for (int s = 0; s < g.b->n; ++s) {
+          terms[s] = g.b->term[s];
+          terms[s].p += pc * terms[s].rs + jc * terms[s].cs;
         }
+        kv.pack_b_comb(terms, g.b->n, kc, nc, bufs.b_pack.data());
+        b_block = bufs.b_pack.data();
+      }
+      for (index_t ic = t.i0; ic < t.i1;) {
+        const index_t ig = ic - ic % bk.mc;  // first row of ic's mc block
+        const index_t ic_end = std::min(t.i1, ig + bk.mc);
+        const index_t mc = ic_end - ic;
+        const T* a_block = a_img;
+        if (a_img != nullptr) {
+          a_block += packed_a_offset(bk, kv.mr, g.m, g.k, ig, pc) +
+                     (ic - ig) * kc;
+        } else {
+          for (int s = 0; s < g.a->n; ++s) {
+            terms[s] = g.a->term[s];
+            terms[s].p += ic * terms[s].rs + pc * terms[s].cs;
+          }
+          kv.pack_a_comb(terms, g.a->n, mc, kc, bufs.a_pack.data());
+          a_block = bufs.a_pack.data();
+        }
+        const index_t mc_panels = (mc + kv.mr - 1) / kv.mr;
+        for (index_t jr = 0; jr < nc_panels; ++jr) {
+          const T* bp = b_block + jr * (kv.nr * kc);
+          const index_t cols = std::min(kv.nr, nc - jr * kv.nr);
+          for (index_t ir = 0; ir < mc_panels; ++ir) {
+            const T* ap = a_block + ir * (kv.mr * kc);
+            const index_t rows = std::min(kv.mr, mc - ir * kv.mr);
+            kv.micro_kernel(kc, ap, bp, acc);
+            for (int d = 0; d < g.ndst; ++d) {
+              const WriteDestT<T>& w = g.dst[d];
+              kv.write_tile(acc, rows, cols, w.alpha,
+                            first_panel ? w.beta : T(1),
+                            w.c + (ic + ir * kv.mr) +
+                                (jc + jr * kv.nr) * w.ldc,
+                            w.ldc);
+            }
+          }
+        }
+        ic = ic_end;
       }
     }
+    jc = jc_end;
   }
 }
 
-// One fanned-out slice of the ic loop (raw thread-pool task).
+// One fanned-out task (raw thread-pool task).
 template <class T>
-struct IcTaskT {
-  const PanelArgsT<T>* g;
-  index_t ic0, ic1;
-};
-
-template <class T>
-void run_ic_task(void* arg) {
-  const IcTaskT<T>* t = static_cast<const IcTaskT<T>*>(arg);
-  run_ic_range(*t->g, t->ic0, t->ic1);
+void run_task(void* arg) {
+  run_block(*static_cast<const GemmTaskT<T>*>(arg));
 }
 
 }  // namespace
@@ -205,31 +227,33 @@ int gemm_thread_budget(std::size_t threads) {
 
 int packed_gemm_threads(index_t m, index_t n, index_t k) {
   if (gemm_threads() == 1) return 1;
-  // Fewer than two row units or two tasks' work: serial. Checked before
-  // the budget so small problems never construct the pool (the lazy
-  // construction is fallible and belongs in a pre-flight).
+  // Under two tasks' work: serial. Checked before the budget so small
+  // problems never construct the pool (the lazy construction is fallible
+  // and belongs in a pre-flight).
   const double work = static_cast<double>(m) * static_cast<double>(n) *
                       static_cast<double>(k);
-  if (m <= kGemmRowUnit || work < 2 * kGemmMinTaskWork) return 1;
-  const index_t units = (m + kGemmRowUnit - 1) / kGemmRowUnit;
+  if (work < 2 * kGemmMinTaskWork) return 1;
   const index_t by_work = static_cast<index_t>(work / kGemmMinTaskWork);
-  return static_cast<int>(
-      std::min({static_cast<index_t>(gemm_thread_budget()), units, by_work}));
+  const index_t want =
+      std::min(static_cast<index_t>(gemm_thread_budget()), by_work);
+  const index_t col_units = (n + kGemmColUnit - 1) / kGemmColUnit;
+  const index_t row_units = (m + kGemmRowUnit - 1) / kGemmRowUnit;
+  return static_cast<int>(std::min(want, std::max(col_units, row_units)));
 }
 
 template <class T>
-void packed_gemm_multi(const GemmBlocking& bk, index_t m, index_t n,
-                       index_t k, const PackCombT<T>& a,
-                       const PackCombT<T>& b, const WriteDestT<T>* dst,
-                       int ndst) {
-  packed_gemm_multi(bk, m, n, k, a, b, dst, ndst, PackedStreamsT<T>{});
+int packed_gemm_multi(const GemmBlocking& bk, index_t m, index_t n,
+                      index_t k, const PackCombT<T>& a, const PackCombT<T>& b,
+                      const WriteDestT<T>* dst, int ndst) {
+  return packed_gemm_multi(bk, m, n, k, a, b, dst, ndst,
+                           PackedStreamsT<T>{});
 }
 
 template <class T>
-void packed_gemm_multi(const GemmBlocking& bk, index_t m, index_t n,
-                       index_t k, const PackCombT<T>& a,
-                       const PackCombT<T>& b, const WriteDestT<T>* dst,
-                       int ndst, const PackedStreamsT<T>& streams) {
+int packed_gemm_multi(const GemmBlocking& bk, index_t m, index_t n,
+                      index_t k, const PackCombT<T>& a, const PackCombT<T>& b,
+                      const WriteDestT<T>* dst, int ndst,
+                      const PackedStreamsT<T>& streams) {
   assert(a.n >= 1 && a.n <= kPackMaxTerms);
   assert(b.n >= 1 && b.n <= kPackMaxTerms);
   assert(ndst >= 1 && ndst <= kPackMaxDests);
@@ -237,87 +261,59 @@ void packed_gemm_multi(const GemmBlocking& bk, index_t m, index_t n,
   // pure reshaping copy of exactly one operand).
   assert(streams.a == nullptr || (a.n == 1 && a.term[0].gamma == T(1)));
   assert(streams.b == nullptr || (b.n == 1 && b.term[0].gamma == T(1)));
-  if (m == 0 || n == 0 || k == 0) return;
+  if (m == 0 || n == 0 || k == 0) return 0;
 
   const KernelInfoT<T>& kv = active_kernel_t<T>();
   assert(kv.mr <= kMaxMRT<T> && kv.nr <= kMaxNRT<T>);
-  assert(kGemmRowUnit % kv.mr == 0);
-  // Fan the ic loop out over contiguous row ranges split by (m, mc,
-  // ntasks) alone, so partitioning never depends on pool scheduling.
-  // Fresh packing splits into equal runs of kGemmRowUnit rows; a streamed A
-  // image splits into whole mc blocks, the only starts its closed-form
-  // offsets address.
-  const index_t unit = streams.a != nullptr ? bk.mc : kGemmRowUnit;
-  const index_t units = (m + unit - 1) / unit;
-  const index_t ntasks =
-      std::min<index_t>(packed_gemm_threads(m, n, k), units);
-
-  PackBuffersT<T>& bufs = pack_buffers<T>();
-  bufs.ensure(streams.a != nullptr ? 0 : a_pack_elems<T>(bk),
-              streams.b != nullptr ? 0 : b_pack_elems<T>(bk));
-  T* b_pack = bufs.b_pack.data();
-
-  PackTermT<T> b_terms[kPackMaxTerms];
-
-  for (index_t jc = 0; jc < n; jc += bk.nc) {
-    const index_t nc = (n - jc < bk.nc) ? (n - jc) : bk.nc;
-    for (index_t pc = 0; pc < k; pc += bk.kc) {
-      const index_t kc = (k - pc < bk.kc) ? (k - pc) : bk.kc;
-      const bool first_panel = (pc == 0);
-      const T* b_block;
-      if (streams.b != nullptr) {
-        b_block = streams.b + packed_b_offset(bk, kv.nr, k, n, jc, pc);
-      } else {
-        for (int s = 0; s < b.n; ++s) {
-          b_terms[s] = b.term[s];
-          b_terms[s].p += pc * b.term[s].rs + jc * b.term[s].cs;
-        }
-        kv.pack_b_comb(b_terms, b.n, kc, nc, b_pack);
-        b_block = b_pack;
-      }
-      const PanelArgsT<T> g{&kv, &bk,      &a, b_block, dst,
-                            ndst, jc,      pc, nc,     kc,
-                            first_panel, streams.a, m, k};
-      if (ntasks <= 1) {
-        run_ic_range(g, 0, m);
-        continue;
-      }
-      // Workers read this (jc, pc)'s packed B from the submitter's
-      // scratch, which stays pinned while we block below.
-      IcTaskT<T> tasks[kMaxGemmTasks];
-      parallel::ThreadPool::RawTask raw[kMaxGemmTasks];
-      for (index_t t = 0; t < ntasks; ++t) {
-        const index_t ic0 = t * units / ntasks * unit;
-        const index_t ic1 = std::min(m, (t + 1) * units / ntasks * unit);
-        tasks[t] = IcTaskT<T>{&g, ic0, ic1};
-        raw[t] = parallel::ThreadPool::RawTask{&run_ic_task<T>, &tasks[t]};
-      }
-      parallel::global_pool().run_batch_nofail(
-          raw, static_cast<std::size_t>(ntasks));
-    }
+  assert(kGemmRowUnit % kv.mr == 0 && kGemmColUnit % kv.nr == 0);
+  // A streamed image is addressed in whole panels from its block starts.
+  assert(streams.a == nullptr || bk.mc % kv.mr == 0);
+  assert(streams.b == nullptr || bk.nc % kv.nr == 0);
+  const GemmArgsT<T> g{&kv, &bk, m, n, k, &a, &b, dst, ndst, &streams};
+  const index_t ntasks = packed_gemm_threads(m, n, k);
+  if (ntasks <= 1) {
+    run_block(GemmTaskT<T>{&g, 0, m, 0, n});
+    return 1;
   }
+  // One fork per call over equal runs of column units; only a product too
+  // narrow for ntasks column units splits its rows instead. The partition
+  // is a function of (m, n, ntasks) alone, never of pool scheduling.
+  const bool by_cols = (n + kGemmColUnit - 1) / kGemmColUnit >= ntasks;
+  const index_t extent = by_cols ? n : m;
+  const index_t unit = by_cols ? kGemmColUnit : kGemmRowUnit;
+  const index_t units = (extent + unit - 1) / unit;
+  GemmTaskT<T> tasks[kMaxGemmTasks];
+  parallel::ThreadPool::RawTask raw[kMaxGemmTasks];
+  for (index_t t = 0; t < ntasks; ++t) {
+    const index_t lo = t * units / ntasks * unit;
+    const index_t hi = std::min(extent, (t + 1) * units / ntasks * unit);
+    tasks[t] = by_cols ? GemmTaskT<T>{&g, 0, m, lo, hi}
+                       : GemmTaskT<T>{&g, lo, hi, 0, n};
+    raw[t] = parallel::ThreadPool::RawTask{&run_task<T>, &tasks[t]};
+  }
+  parallel::global_pool().run_batch_nofail(raw,
+                                           static_cast<std::size_t>(ntasks));
+  return static_cast<int>(ntasks);
 }
 
-template void packed_gemm_multi<double>(const GemmBlocking&, index_t,
-                                        index_t, index_t,
-                                        const PackCombT<double>&,
-                                        const PackCombT<double>&,
-                                        const WriteDestT<double>*, int);
-template void packed_gemm_multi<float>(const GemmBlocking&, index_t, index_t,
-                                       index_t, const PackCombT<float>&,
-                                       const PackCombT<float>&,
-                                       const WriteDestT<float>*, int);
-template void packed_gemm_multi<double>(const GemmBlocking&, index_t,
-                                        index_t, index_t,
-                                        const PackCombT<double>&,
-                                        const PackCombT<double>&,
-                                        const WriteDestT<double>*, int,
-                                        const PackedStreamsT<double>&);
-template void packed_gemm_multi<float>(const GemmBlocking&, index_t, index_t,
-                                       index_t, const PackCombT<float>&,
-                                       const PackCombT<float>&,
-                                       const WriteDestT<float>*, int,
-                                       const PackedStreamsT<float>&);
+template int packed_gemm_multi<double>(const GemmBlocking&, index_t, index_t,
+                                       index_t, const PackCombT<double>&,
+                                       const PackCombT<double>&,
+                                       const WriteDestT<double>*, int);
+template int packed_gemm_multi<float>(const GemmBlocking&, index_t, index_t,
+                                      index_t, const PackCombT<float>&,
+                                      const PackCombT<float>&,
+                                      const WriteDestT<float>*, int);
+template int packed_gemm_multi<double>(const GemmBlocking&, index_t, index_t,
+                                       index_t, const PackCombT<double>&,
+                                       const PackCombT<double>&,
+                                       const WriteDestT<double>*, int,
+                                       const PackedStreamsT<double>&);
+template int packed_gemm_multi<float>(const GemmBlocking&, index_t, index_t,
+                                      index_t, const PackCombT<float>&,
+                                      const PackCombT<float>&,
+                                      const WriteDestT<float>*, int,
+                                      const PackedStreamsT<float>&);
 
 template <class T>
 void ensure_pack_capacity(const GemmBlocking& bk) {

@@ -113,18 +113,20 @@ inline WriteDestF write_dest(MutViewF v, float alpha, float beta) {
 /// The destinations must not overlap one another or the sources.
 ///
 /// When the calling thread's gemm_threads() setting and the problem shape
-/// allow (see packed_gemm_threads), the ic macro loop of every (jc, pc)
-/// iteration is fanned out over the global thread pool: the caller packs B
-/// once, workers pack the A blocks of disjoint, equal row ranges (whole
-/// kGemmRowUnit runs) into their own thread-local scratch and write
-/// disjoint C rows. The pc loop stays sequential (one barrier per k-panel),
-/// so the arithmetic per C element is identical for every thread count --
-/// results are bitwise reproducible.
+/// allow (see packed_gemm_threads), the call forks once over the global
+/// thread pool. Each task owns a range of C columns (whole kGemmColUnit
+/// runs) and runs the whole loop nest over it, packing the A blocks and B
+/// slivers it reads into the scratch of the thread that executes it; only
+/// a product too narrow to give every task a column unit splits its rows
+/// (whole kGemmRowUnit runs) instead. No task reads another thread's
+/// scratch, so tasks never synchronize. Splitting never changes the kc
+/// order of any C element's arithmetic, so results are bitwise identical
+/// for every thread count. Returns the number of tasks run: 1 for the
+/// serial nest, 0 for an empty product.
 template <class T>
-void packed_gemm_multi(const GemmBlocking& bk, index_t m, index_t n,
-                       index_t k, const PackCombT<T>& a,
-                       const PackCombT<T>& b, const WriteDestT<T>* dst,
-                       int ndst);
+int packed_gemm_multi(const GemmBlocking& bk, index_t m, index_t n, index_t k,
+                      const PackCombT<T>& a, const PackCombT<T>& b,
+                      const WriteDestT<T>* dst, int ndst);
 
 /// Optional prepacked operand images for packed_gemm_multi. A non-null side
 /// makes the loop nest stream micro-panels straight from the image (laid
@@ -149,17 +151,21 @@ using PackedStreamsF = PackedStreamsT<float>;
 /// are bitwise identical to the non-streaming overload for every thread
 /// count.
 template <class T>
-void packed_gemm_multi(const GemmBlocking& bk, index_t m, index_t n,
-                       index_t k, const PackCombT<T>& a,
-                       const PackCombT<T>& b, const WriteDestT<T>* dst,
-                       int ndst, const PackedStreamsT<T>& streams);
+int packed_gemm_multi(const GemmBlocking& bk, index_t m, index_t n, index_t k,
+                      const PackCombT<T>& a, const PackCombT<T>& b,
+                      const WriteDestT<T>* dst, int ndst,
+                      const PackedStreamsT<T>& streams);
 
 /// Upper bound on the tasks one packed_gemm_multi call fans out.
 inline constexpr int kMaxGemmTasks = 64;
 
-/// Granularity of the intra-GEMM row fan-out: a multiple of every
-/// kernel's MR, so a range start never splits a micro-tile. 64 rows keep
-/// even m = 256 on four workers while a range still fills a few tiles.
+/// Granularity of the column split: a multiple of every kernel's NR (6
+/// and 8), so a range start never splits a micro-tile or a packed B
+/// sliver. 24 columns leave a 512-wide product 22 units to share.
+inline constexpr index_t kGemmColUnit = 24;
+
+/// Granularity of the row split that products narrower than the budget's
+/// worth of column units fall back to: a multiple of every kernel's MR.
 inline constexpr index_t kGemmRowUnit = 64;
 
 /// Least work (m*n*k) one fanned-out task gets: about 2 MFLOP, several
@@ -200,13 +206,14 @@ int gemm_thread_budget();
 /// and the parallel driver consults policies under this one key.
 int gemm_thread_budget(std::size_t threads);
 
-/// Number of tasks packed_gemm_multi would fan out for this shape under the
-/// calling thread's current setting: 1 when the setting forces serial, m
-/// spans at most one kGemmRowUnit or the product is under two tasks'
-/// kGemmMinTaskWork, else gemm_thread_budget() clamped to the row-unit
-/// count and the work. A prepacked A image fans out over whole mc blocks
-/// and may use fewer. Deterministic in (setting, pool size, shape); the
-/// GEFMM pre-flight uses it to decide whether pool workers need warming.
+/// Number of tasks packed_gemm_multi forks for this shape under the
+/// calling thread's current setting: 1 when the setting forces serial or
+/// the product is under two tasks' kGemmMinTaskWork, else
+/// gemm_thread_budget() clamped to the work and to the units of the split
+/// dimension (column units, or row units when there are more of those).
+/// Fresh and prepacked operands fork alike. Deterministic in (setting,
+/// pool size, shape); the GEFMM pre-flight uses it to decide whether pool
+/// workers need warming.
 int packed_gemm_threads(index_t m, index_t n, index_t k);
 
 /// Pre-allocates the calling thread's packing scratch for blocking `bk`
@@ -239,10 +246,9 @@ void ensure_pack_capacity_all_workers(const GemmBlocking& bk);
 /// long-lived server thread that has stopped issuing GEMMs (or a binding
 /// releasing its cached workspace) calls this so warmed scratch is not
 /// retained-memory growth. The next packed GEMM on this thread simply
-/// re-warms. Must not be called while a packed GEMM submitted from this
-/// thread is still fanned out (its workers read the submitter's B scratch),
-/// nor from a pool worker (ensure_pack_capacity_all_workers trusts that
-/// worker scratch only grows).
+/// re-warms. Must not be called from a pool worker
+/// (ensure_pack_capacity_all_workers trusts that worker scratch only
+/// grows).
 template <class T = double>
 void release_pack_capacity();
 

@@ -95,29 +95,14 @@ void gefmm_view_t(T alpha, BasicView<const T> a, BasicView<const T> b, T beta,
     gefmm_view_t<T>(alpha, a, b, beta, c, eff);
     return;
   }
-  // Prepacked-handle consult for the untuned single-GEMM routes: every
-  // schedule interpreter reduces a degenerate or below-cutoff top-level
-  // call to one gemm_view, so streaming the handles here is the same
-  // arithmetic minus the packing. Needs no arena, so it precedes the
-  // pre-flight. A hard miss falls through to the ordinary path.
-  if (cfg.packed_a != nullptr || cfg.packed_b != nullptr) {
-    const index_t m = c.rows, n = c.cols, k = a.cols;
-    if (((m < 2 || k < 2 || n < 2) || cfg.cutoff.stop(m, k, n, 0)) &&
-        try_prepacked_gemm<T>(alpha, a, b, beta, c, cfg)) {
-      if (cfg.stats != nullptr) {
-        cfg.stats->kernel = blas::active_kernel_t<T>().name;
-        ++cfg.stats->base_gemms;
-      }
-      return;
-    }
-  }
   const std::size_t need = static_cast<std::size_t>(
       workspace_elements<T>(c.rows, c.cols, a.cols, beta, cfg));
   const long faults_before = faultinject::injected_total();
   // Resolve the packed-GEMM blocking and fan-out now: the fan-out decision
   // for any sub-product of this call is covered by the top-level shape
   // (sub-products are never larger), so warming below is a superset of
-  // what the compute phase can touch.
+  // what the compute phase can touch. A single-GEMM route forks exactly
+  // this many tasks, prepacked operands or not.
   const blas::GemmBlocking bk = blas::blocking_for_t<T>(blas::active_machine());
   const int gemm_threads = blas::packed_gemm_threads(c.rows, c.cols, a.cols);
   if (cfg.stats != nullptr) {
@@ -182,6 +167,21 @@ void gefmm_view_t(T alpha, BasicView<const T> a, BasicView<const T> b, T beta,
   // overflow in it would be a sizing bug and still throws WorkspaceError.
   faultinject::ScopedSuspend nofail;
 
+  // Prepacked-handle consult for the untuned single-GEMM routes: every
+  // schedule interpreter reduces a degenerate or below-cutoff top-level
+  // call to one gemm_view, so streaming the handles here is the same
+  // arithmetic minus the packing. It runs after the pre-flight because the
+  // streamed GEMM forks like any other: every worker it may reach must be
+  // warm, and a pool-task fault must not fire with C half-written. A hard
+  // miss falls through to the ordinary path.
+  if (cfg.packed_a != nullptr || cfg.packed_b != nullptr) {
+    const index_t m = c.rows, n = c.cols, k = a.cols;
+    if (((m < 2 || k < 2 || n < 2) || cfg.cutoff.stop(m, k, n, 0)) &&
+        try_prepacked_gemm<T>(alpha, a, b, beta, c, cfg)) {
+      if (cfg.stats != nullptr) ++cfg.stats->base_gemms;
+      return;
+    }
+  }
   detail::CtxT<T> ctx{&cfg, arena, cfg.stats};
   if (cfg.scheme == Scheme::fused) {
     // The fused path peels odd dimensions itself; cfg.odd applies only to

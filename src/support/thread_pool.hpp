@@ -8,8 +8,8 @@
 //    seven products and four combines as a work-stealing dependency DAG
 //    via run_dag, whose lanes are function tasks;
 //
-//  * the packed GEMM itself (blas/packed_loop.cpp) fans its ic macro loop
-//    out from *inside* the no-fail compute region, where nothing may
+//  * the packed GEMM itself (blas/packed_loop.cpp) forks its column (or
+//    row) ranges from *inside* the no-fail compute region, where nothing may
 //    allocate. run_batch_nofail takes a caller-owned array of raw
 //    function-pointer tasks and keeps all batch bookkeeping on the
 //    caller's stack, so submission performs no heap operation at all.

@@ -8,9 +8,10 @@
 //     whose dimensions are not multiples of the register tile, multi-term
 //     packing combinations, and multi-destination epilogues;
 //
-//  2. the parallel ic-loop decomposition is bitwise deterministic: the
-//     same problem run with 1 thread and with N threads produces byte-for-
-//     byte identical C, for every kernel variant;
+//  2. the one-fork column (or row) decomposition is bitwise deterministic:
+//     the same problem run with 1 thread and with N threads produces
+//     byte-for-byte identical C, for every kernel variant, fresh or
+//     prepacked;
 //
 //  3. the worker pre-warm contract: a cold pool worker's pack scratch is a
 //     real allocation (fault injection can make it fail during the
@@ -474,7 +475,7 @@ TEST(KernelMatrixF, MultiTermMultiDestUnderEveryKernel) {
 // Bitwise determinism of the fanned-out float skeleton, per kernel.
 TEST(KernelMatrixF, ParallelPackedSgemmBitwiseEqualsSerialUnderEveryKernel) {
   const blas::GemmBlocking bk{24, 16, 32};
-  const index_t m = 200, k = 192, n = 128;  // 9 mc blocks, 4 row units
+  const index_t m = 200, k = 192, n = 128;  // 9 mc blocks, 6 column units
   Rng rng(1002);
   MatrixF a = random_matrix_f(m, k, rng);
   MatrixF b = random_matrix_f(k, n, rng);
@@ -517,7 +518,7 @@ TEST(KernelMatrixF, ParallelPackedSgemmBitwiseEqualsSerialUnderEveryKernel) {
 // and several fan-out widths against the forced-serial run.
 TEST(KernelMatrix, ParallelPackedGemmBitwiseEqualsSerialUnderEveryKernel) {
   const blas::GemmBlocking bk{24, 16, 32};
-  const index_t m = 200, k = 192, n = 128;  // 9 mc blocks, 4 row units
+  const index_t m = 200, k = 192, n = 128;  // 9 mc blocks, 6 column units
   Rng rng(1001);
   Matrix a = random_matrix(m, k, rng);
   Matrix b = random_matrix(k, n, rng);
@@ -559,10 +560,11 @@ TEST(KernelMatrix, ParallelPackedGemmBitwiseEqualsSerialUnderEveryKernel) {
   }
 }
 
-// Rows of the same 1-vs-N matrix on the machine blocking, where the row
-// fan-out splits inside mc blocks: m = 200 is one mc block, 512 and 2047
-// end mid-block. A prepacked A fans out over whole mc blocks instead; both
-// must equal the serial fresh-packing run byte for byte.
+// Rows of the same 1-vs-N matrix on the machine blocking. The narrow rows
+// take the row fallback at the wider thread counts, whose ranges split mc
+// blocks: m = 200 is one mc block, 512 and 2047 end mid-block. A prepacked
+// A is streamed under the same partition; both must equal the serial
+// fresh-packing run byte for byte.
 template <class T>
 void fan_out_rows_bitwise_equal_serial() {
   struct Row {
@@ -631,7 +633,7 @@ TEST(GemmThreads, SettingClampsAndScopesRestore) {
 }
 
 TEST(GemmThreads, ResolutionIsDeterministicInShapeAndSetting) {
-  const index_t unit = blas::kGemmRowUnit;
+  const index_t row = blas::kGemmRowUnit, col = blas::kGemmColUnit;
   const index_t big = 512;  // n = k = 512: work never limits the fan-out
   {
     blas::ScopedGemmThreads one(1);
@@ -640,14 +642,23 @@ TEST(GemmThreads, ResolutionIsDeterministicInShapeAndSetting) {
   }
   blas::ScopedGemmThreads four(4);
   EXPECT_EQ(blas::gemm_thread_budget(), 4);
-  // At most one row unit, or an empty product: always serial.
-  EXPECT_EQ(blas::packed_gemm_threads(unit, big, big), 1);
+  // An empty product: always serial.
   EXPECT_EQ(blas::packed_gemm_threads(1000, 0, big), 1);
-  // Clamped to the row-unit count, independent of the mc blocking: m just
-  // past three units fans out four ways, even though it is one mc block.
-  EXPECT_EQ(blas::packed_gemm_threads(unit + 1, big, big), 2);
-  EXPECT_EQ(blas::packed_gemm_threads(3 * unit, big, big), 3);
-  EXPECT_EQ(blas::packed_gemm_threads(3 * unit + 1, big, big), 4);
+  EXPECT_EQ(blas::packed_gemm_threads(0, big, big), 1);
+  // At most one row unit with a wide n splits by columns: skinny products
+  // use the whole budget.
+  EXPECT_EQ(blas::packed_gemm_threads(row, big, big), 4);
+  EXPECT_EQ(blas::packed_gemm_threads(1, 8 * big, 2 * big), 4);
+  // Clamped to the column-unit count when the columns outnumber the rows
+  // (m = 64, k = 2048 leaves work for four tasks)...
+  EXPECT_EQ(blas::packed_gemm_threads(row, col, 4 * big), 1);
+  EXPECT_EQ(blas::packed_gemm_threads(row, col + 1, 4 * big), 2);
+  EXPECT_EQ(blas::packed_gemm_threads(row, 3 * col, 4 * big), 3);
+  // ...and to the row-unit count when n is one column unit (the row
+  // fallback), independent of the mc blocking.
+  EXPECT_EQ(blas::packed_gemm_threads(row + 1, col, 8 * big), 2);
+  EXPECT_EQ(blas::packed_gemm_threads(3 * row, col, 8 * big), 3);
+  EXPECT_EQ(blas::packed_gemm_threads(3 * row + 1, col, 8 * big), 4);
   // Clamped to the work: under two tasks' worth stays serial, and each
   // task gets at least kGemmMinTaskWork.
   EXPECT_EQ(blas::packed_gemm_threads(96, 96, 96), 1);
@@ -661,6 +672,124 @@ TEST(GemmThreads, ResolutionIsDeterministicInShapeAndSetting) {
   EXPECT_GE(resolved, 1);
   EXPECT_LE(resolved, blas::kMaxGemmTasks);
   EXPECT_EQ(resolved, std::min(blas::gemm_thread_budget(), 3200 / 64));
+}
+
+// The column-split table: skinny and narrow products on the machine
+// blocking with k = 700 (more than one kc panel). Each row runs fresh
+// operands, a prepacked A, a prepacked B, or the fused two-term,
+// two-destination shape at several thread counts; a row forks whenever
+// the work floor allows (by columns, or by rows when n is too narrow),
+// and C matches the one-thread run byte for byte.
+enum class SplitOperands { fresh, prepacked_a, prepacked_b, fused };
+
+template <class T>
+void column_split_bitwise_table(SplitOperands ops) {
+  const index_t k = 700, m_max = 200, n_max = 2047;
+  Rng rng(1004);
+  MatrixT<T> a0(m_max, k), a1(m_max, k), b0(k, n_max), b1(k, n_max);
+  MatrixT<T> c_init(m_max, n_max);
+  for (MatrixT<T>* x : {&a0, &a1, &b0, &b1, &c_init}) {
+    fill_random(x->view(), rng);
+  }
+  const bool prepacked =
+      ops == SplitOperands::prepacked_a || ops == SplitOperands::prepacked_b;
+  const int ndst = ops == SplitOperands::fused ? 2 : 1;
+  for (const KernelArch arch : supported_arches()) {
+    blas::ScopedKernel pin(arch);
+    SCOPED_TRACE(blas::active_kernel_t<T>().name);
+    const blas::GemmBlocking bk =
+        blas::blocking_for_t<T>(blas::active_machine());
+    for (const index_t m : {1, 8, 16, 64, 100, 200}) {
+      for (const index_t n : {8, 63, 520, 2047}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n));
+        const BasicView<const T> av = a0.view().block(0, 0, m, k);
+        const BasicView<const T> bv = b0.view().block(0, 0, k, n);
+        blas::PackCombT<T> pa, pb;
+        pa.add(av, T(1));
+        pb.add(bv, T(1));
+        if (ops == SplitOperands::fused) {
+          pa.add(a1.view().block(0, 0, m, k), T(-0.5));
+          pb.add(b1.view().block(0, 0, k, n), T(2));
+        }
+        const blas::PackedOperandT<T> ha =
+            ops == SplitOperands::prepacked_a ? blas::gefmm_pack_a<T>(av)
+                                              : blas::PackedOperandT<T>();
+        const blas::PackedOperandT<T> hb =
+            ops == SplitOperands::prepacked_b ? blas::gefmm_pack_b<T>(bv)
+                                              : blas::PackedOperandT<T>();
+        const std::size_t bytes = sizeof(T) * static_cast<std::size_t>(m * n);
+        const bool can_fork = static_cast<double>(m * n * k) >=
+                              2 * blas::kGemmMinTaskWork;
+        for (const T beta : {T(0), T(1)}) {
+          SCOPED_TRACE(beta == T(0) ? "beta=0" : "beta=1");
+          // Runs the row into c[0..ndst); returns the tasks forked, or 0
+          // for the prepacked entry point, which does not report them.
+          auto run = [&](MatrixT<T>* c) {
+            for (int d = 0; d < ndst; ++d) {
+              c[d] = MatrixT<T>(m, n);
+              copy(c_init.view().block(0, 0, m, n), c[d].view());
+            }
+            if (prepacked) {
+              EXPECT_TRUE(blas::gemm_view_prepacked(
+                  T(1.5), av, bv, beta, c[0].view(),
+                  ops == SplitOperands::prepacked_a ? &ha : nullptr,
+                  ops == SplitOperands::prepacked_b ? &hb : nullptr));
+              return 0;
+            }
+            const blas::WriteDestT<T> dst[2] = {
+                blas::write_dest(c[0].view(), T(1.5), beta),
+                blas::write_dest(c[ndst - 1].view(), T(-1), beta)};
+            return blas::packed_gemm_multi(bk, m, n, k, pa, pb, dst, ndst);
+          };
+          MatrixT<T> serial[2], par[2];
+          {
+            blas::ScopedGemmThreads one(1);
+            EXPECT_EQ(run(serial), prepacked ? 0 : 1);
+          }
+          for (const int threads : {2, 3, 4, 7}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            blas::ScopedGemmThreads fan(threads);
+            const int resolved = blas::packed_gemm_threads(m, n, k);
+            EXPECT_EQ(resolved > 1, can_fork);
+            const int forked = run(par);
+            if (!prepacked) {
+              EXPECT_EQ(forked, resolved);
+            }
+            for (int d = 0; d < ndst; ++d) {
+              EXPECT_EQ(std::memcmp(par[d].data(), serial[d].data(), bytes),
+                        0)
+                  << "dest " << d;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelMatrix, ColumnSplitFreshBitwiseEqualsSerial) {
+  column_split_bitwise_table<double>(SplitOperands::fresh);
+}
+TEST(KernelMatrix, ColumnSplitPrepackedABitwiseEqualsSerial) {
+  column_split_bitwise_table<double>(SplitOperands::prepacked_a);
+}
+TEST(KernelMatrix, ColumnSplitPrepackedBBitwiseEqualsSerial) {
+  column_split_bitwise_table<double>(SplitOperands::prepacked_b);
+}
+TEST(KernelMatrix, ColumnSplitFusedBitwiseEqualsSerial) {
+  column_split_bitwise_table<double>(SplitOperands::fused);
+}
+TEST(KernelMatrixF, ColumnSplitFreshBitwiseEqualsSerial) {
+  column_split_bitwise_table<float>(SplitOperands::fresh);
+}
+TEST(KernelMatrixF, ColumnSplitPrepackedABitwiseEqualsSerial) {
+  column_split_bitwise_table<float>(SplitOperands::prepacked_a);
+}
+TEST(KernelMatrixF, ColumnSplitPrepackedBBitwiseEqualsSerial) {
+  column_split_bitwise_table<float>(SplitOperands::prepacked_b);
+}
+TEST(KernelMatrixF, ColumnSplitFusedBitwiseEqualsSerial) {
+  column_split_bitwise_table<float>(SplitOperands::fused);
 }
 
 // ------------------------------------------------------- stats plumbing
@@ -709,6 +838,48 @@ TEST(KernelStats, FannedOutDgefmmRecordsThreadsGreaterThanOne) {
                        b.data(), k, 0.0, c_ref.data(), m);
   EXPECT_LE(max_abs_diff(c.view(), c_ref.view()),
             1e-11 * (static_cast<double>(k) + 1.0));
+}
+
+// stats.gemm_threads is the number of tasks the call's one GEMM forks,
+// with a prepacked A too: 512^3 on four threads splits by columns four
+// ways, and a one-column-unit product falls back to four row ranges. The
+// same streamed nest run directly reports the tasks it forked and writes
+// the same bytes.
+TEST(KernelStats, PrepackedADgefmmRecordsTheTasksItForks) {
+  struct Row {
+    index_t m, n, k;
+  };
+  const Row rows[] = {{512, 512, 512}, {2048, blas::kGemmColUnit, 512}};
+  Rng rng(7);
+  blas::ScopedGemmThreads four(4);
+  for (const Row& r : rows) {
+    SCOPED_TRACE("m=" + std::to_string(r.m) + " n=" + std::to_string(r.n));
+    Matrix a = random_matrix(r.m, r.k, rng);
+    Matrix b = random_matrix(r.k, r.n, rng);
+    const blas::PackedOperand pa = blas::gefmm_pack_a<double>(a.view());
+    Matrix c(r.m, r.n), direct(r.m, r.n);
+    core::DgefmmStats stats;
+    core::DgefmmConfig cfg;
+    cfg.cutoff = core::CutoffCriterion::never_recurse();
+    cfg.stats = &stats;
+    cfg.packed_a = &pa;
+    ASSERT_EQ(core::dgefmm(Trans::no, Trans::no, r.m, r.n, r.k, 1.0,
+                           a.data(), r.m, b.data(), r.k, 0.0, c.data(), r.m,
+                           cfg),
+              0);
+    EXPECT_GT(stats.pack_hits, 0u) << "the handle must have streamed";
+    const blas::WriteDest dst = blas::write_dest(direct.view(), 1.0, 0.0);
+    const int forked = blas::packed_gemm_multi(
+        blas::blocking_for(blas::active_machine()), r.m, r.n, r.k,
+        blas::pack_comb(a.view()), blas::pack_comb(b.view()), &dst, 1,
+        blas::PackedStreams{pa.data(), nullptr});
+    EXPECT_EQ(forked, 4);
+    EXPECT_EQ(stats.gemm_threads, forked);
+    EXPECT_EQ(std::memcmp(c.data(), direct.data(),
+                          sizeof(double) * static_cast<std::size_t>(r.m) *
+                              static_cast<std::size_t>(r.n)),
+              0);
+  }
 }
 
 // ------------------------------------------------- quadrant combines
@@ -913,32 +1084,39 @@ TEST_F(KernelWarm, FailedWarmIsRetried) {
 }
 
 TEST_F(KernelWarm, WarmedFanOutComputeAllocatesNothing) {
+  // A column split, a skinny column split and a row fallback.
+  struct Row {
+    index_t m, n, k;
+  };
+  const Row rows[] = {{300, 64, 160}, {16, 1024, 1024}, {300, 16, 1024}};
   const blas::GemmBlocking bk{32, 24, 48};
   blas::ensure_pack_capacity_all_workers(bk);
-  const index_t m = 300, k = 160, n = 64;
   Rng rng(31);
-  Matrix a = random_matrix(m, k, rng);
-  Matrix b = random_matrix(k, n, rng);
-  Matrix c(m, n);
-  c.fill(0.0);
   blas::ScopedGemmThreads fan(6);
-  ASSERT_GT(blas::packed_gemm_threads(m, n, k), 1);
-  fi::arm(1, fi::Site::buffer_alloc);
-  const blas::PackComb pa = blas::pack_comb(a.view());
-  const blas::PackComb pb = blas::pack_comb(b.view());
-  const blas::WriteDest dst = blas::write_dest(c.view(), 1.0, 0.0);
-  blas::packed_gemm_multi(bk, m, n, k, pa, pb, &dst, 1);
-  // No task -- caller or worker -- constructed a buffer: the fault is
-  // still pending, which is exactly the "no allocation inside the no-fail
-  // region" property the DESIGN.md section 7 contract needs.
-  EXPECT_TRUE(fi::armed());
-  fi::disarm();
-  Matrix c_ref(m, n);
-  c_ref.fill(0.0);
-  blas::gemm_reference(Trans::no, Trans::no, m, n, k, 1.0, a.data(), a.ld(),
-                       b.data(), b.ld(), 0.0, c_ref.data(), c_ref.ld());
-  EXPECT_LE(max_abs_diff(c.view(), c_ref.view()),
-            1e-12 * (static_cast<double>(k) + 1.0));
+  for (const Row& r : rows) {
+    SCOPED_TRACE("m=" + std::to_string(r.m) + " n=" + std::to_string(r.n));
+    Matrix a = random_matrix(r.m, r.k, rng);
+    Matrix b = random_matrix(r.k, r.n, rng);
+    Matrix c(r.m, r.n);
+    c.fill(0.0);
+    fi::arm(1, fi::Site::buffer_alloc);
+    const blas::PackComb pa = blas::pack_comb(a.view());
+    const blas::PackComb pb = blas::pack_comb(b.view());
+    const blas::WriteDest dst = blas::write_dest(c.view(), 1.0, 0.0);
+    EXPECT_GT(blas::packed_gemm_multi(bk, r.m, r.n, r.k, pa, pb, &dst, 1), 1);
+    // No task -- caller or worker -- constructed a buffer: the fault is
+    // still pending, which is exactly the "no allocation inside the
+    // no-fail region" property the DESIGN.md section 7 contract needs.
+    EXPECT_TRUE(fi::armed());
+    fi::disarm();
+    Matrix c_ref(r.m, r.n);
+    c_ref.fill(0.0);
+    blas::gemm_reference(Trans::no, Trans::no, r.m, r.n, r.k, 1.0, a.data(),
+                         a.ld(), b.data(), b.ld(), 0.0, c_ref.data(),
+                         c_ref.ld());
+    EXPECT_LE(max_abs_diff(c.view(), c_ref.view()),
+              1e-12 * (static_cast<double>(r.k) + 1.0));
+  }
 }
 
 TEST_F(KernelWarm, StrictPolicySweepWithFanOutLeavesCUntouched) {

@@ -18,6 +18,7 @@
 
 #include "blas/gemm.hpp"
 #include "blas/kernels.hpp"
+#include "blas/pack_operand.hpp"
 #include "blas/packed_loop.hpp"
 #include "core/cabi.hpp"
 #include "core/dgefmm.hpp"
@@ -987,6 +988,53 @@ TEST(ServeCAbi, SubmitTakesTheDefaultRoute) {
             0);
   EXPECT_EQ(strassen_dgefmm_wait(h), 0);
   EXPECT_TRUE(bitwise_equal(c, want));
+}
+
+// A default skinny request forks its one GEMM across the pool by columns,
+// with and without a prepacked B, and still matches the one-thread C ABI
+// call bitwise. The submitter's budget keys the route, so the fan-out does
+// not depend on the host's core count.
+TEST(Serve, SkinnyDefaultRequestFansOutBitwise) {
+  core::clear_tuned_policy<double>();
+  const index_t m = 16, n = 512, k = 512;
+  Rng rng(405);
+  Matrix a = random_matrix(m, k, rng);
+  Matrix b = random_matrix(k, n, rng);
+  Matrix c0 = random_matrix(m, n, rng);
+  Matrix want(m, n);
+  copy(c0.view(), want.view());
+  {
+    blas::ScopedGemmThreads serial(1);
+    ASSERT_EQ(strassen_dgefmm('N', 'N', m, n, k, 0.75, a.data(), a.ld(),
+                              b.data(), b.ld(), 1.5, want.data(), want.ld()),
+              0);
+  }
+  const blas::PackedOperand pb = blas::gefmm_pack_b<double>(b.view());
+  blas::ScopedGemmThreads budget(4);
+  serve::Queue q;
+  for (const bool prepacked : {false, true}) {
+    SCOPED_TRACE(prepacked ? "packed_b" : "fresh");
+    Matrix c(m, n);
+    copy(c0.view(), c.view());
+    serve::GemmRequest req;
+    req.m = m;
+    req.n = n;
+    req.k = k;
+    req.alpha = 0.75;
+    req.a = a.data();
+    req.lda = a.ld();
+    req.b = b.data();
+    req.ldb = b.ld();
+    req.beta = 1.5;
+    req.c = c.data();
+    req.ldc = c.ld();
+    if (prepacked) req.packed_b = &pb;
+    serve::Ticket t = q.submit(req);
+    ASSERT_EQ(t.wait(), 0);
+    EXPECT_GT(t.stats().gemm_threads, 1);
+    EXPECT_EQ(t.stats().pack_hits > 0, prepacked);
+    EXPECT_TRUE(bitwise_equal(c, want));
+  }
 }
 
 TEST(ServeCAbi, FloatSubmitWaitRoundtrip) {
